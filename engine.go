@@ -109,10 +109,27 @@ func (e *Engine) domainEntry(d Domain) *engineEntry {
 	return ent
 }
 
+// Cold-build stage histograms: model_build spans the whole build-once,
+// with build (models.Build), warm_costs (per-node cost derivation) and
+// compile (program lowering, in core.NewAnalyzer) as its children.
+var (
+	stageModelBuild = obs.Stage("model_build")
+	stageBuild      = obs.Stage("build")
+	stageWarmCosts  = obs.Stage("warm_costs")
+	stageCompile    = obs.Stage("compile")
+)
+
 // Analyzer returns the domain's compiled analysis session, building and
 // compiling the model on first use. The memoized path is lock-free: an
 // atomic snapshot load, a map lookup, and a completed sync.Once.
 func (e *Engine) Analyzer(d Domain) (*core.Analyzer, error) {
+	return e.analyzer(context.Background(), d)
+}
+
+// analyzer is Analyzer recording the cold build, when this call is the one
+// that runs it, into ctx's trace. ctx is used for tracing only: the build
+// is shared by every caller of the domain and always runs to completion.
+func (e *Engine) analyzer(ctx context.Context, d Domain) (*core.Analyzer, error) {
 	ent, ok := (*engineEntry)(nil), false
 	if m := e.domains.Load(); m != nil {
 		ent, ok = (*m)[d]
@@ -120,19 +137,30 @@ func (e *Engine) Analyzer(d Domain) (*core.Analyzer, error) {
 	if !ok {
 		ent = e.domainEntry(d)
 	}
-	ent.once.Do(func() {
-		// The build-and-compile is the engine's coldest stage: its latency
-		// distribution (one observation per domain per process, ~100ms-1s)
-		// separates cold-start cost from steady-state serving in /metrics.
-		defer obs.Span(context.Background(), "model_build").End()
-		m, err := models.Build(d)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		ent.a, ent.err = core.NewAnalyzer(m)
-	})
+	ent.once.Do(func() { ent.a, ent.err = buildAnalyzer(ctx, d) })
 	return ent.a, ent.err
+}
+
+// buildAnalyzer is the engine's coldest stage: one observation per domain
+// per process, which separates cold-start cost from steady-state serving
+// in /metrics, split into its three layers.
+func buildAnalyzer(ctx context.Context, d Domain) (*core.Analyzer, error) {
+	sp := obs.StartSpan(ctx, "model_build", stageModelBuild)
+	defer sp.End()
+	ctx = sp.Attach(ctx)
+
+	layer := obs.StartSpan(ctx, "build", stageBuild)
+	m, err := models.Build(d)
+	layer.End()
+	if err != nil {
+		return nil, err
+	}
+	layer = obs.StartSpan(ctx, "warm_costs", stageWarmCosts)
+	m.Graph.WarmCosts()
+	layer.End()
+	layer = obs.StartSpan(ctx, "compile", stageCompile)
+	defer layer.End()
+	return core.NewAnalyzer(m)
 }
 
 // CacheStats is a point-in-time view of the engine's memo layer: how many
@@ -181,9 +209,9 @@ func (e *Engine) Model(d Domain) (*Model, error) {
 
 // sessionAt resolves a domain's memoized analyzer and the size
 // hyperparameter hitting the target parameter count — the shared front
-// half of Analyze and Profile.
-func (e *Engine) sessionAt(d Domain, paramCount float64) (*core.Analyzer, float64, error) {
-	a, err := e.Analyzer(d)
+// half of Analyze, AnalyzeOn and Profile. ctx is used for tracing only.
+func (e *Engine) sessionAt(ctx context.Context, d Domain, paramCount float64) (*core.Analyzer, float64, error) {
+	a, err := e.analyzer(ctx, d)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -196,7 +224,7 @@ func (e *Engine) sessionAt(d Domain, paramCount float64) (*core.Analyzer, float6
 
 // Analyze characterizes a domain at a target parameter count and subbatch.
 func (e *Engine) Analyze(d Domain, paramCount, subbatch float64) (Requirements, error) {
-	a, size, err := e.sessionAt(d, paramCount)
+	a, size, err := e.sessionAt(context.Background(), d, paramCount)
 	if err != nil {
 		return Requirements{}, err
 	}
@@ -228,7 +256,7 @@ func (e *Engine) AnalyzeOn(ctx context.Context, d Domain, paramCount, subbatch f
 	if err := acc.Validate(); err != nil {
 		return Requirements{}, RooflineEstimate{}, err
 	}
-	a, size, err := e.sessionAt(d, paramCount)
+	a, size, err := e.sessionAt(ctx, d, paramCount)
 	if err != nil {
 		return Requirements{}, RooflineEstimate{}, err
 	}
@@ -249,7 +277,7 @@ func (e *Engine) AnalyzeOn(ctx context.Context, d Domain, paramCount, subbatch f
 // Profile computes the per-op-kind and per-group cost breakdown of a
 // domain's training step.
 func (e *Engine) Profile(d Domain, paramCount, subbatch float64) (*Profile, error) {
-	a, size, err := e.sessionAt(d, paramCount)
+	a, size, err := e.sessionAt(context.Background(), d, paramCount)
 	if err != nil {
 		return nil, err
 	}

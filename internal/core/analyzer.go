@@ -65,12 +65,6 @@ func NewAnalyzer(m *models.Model) (*Analyzer, error) {
 				m.Name, name, m.SizeSymbol, m.BatchSymbol)
 		}
 	}
-	// Warm the model's lazy expression caches while construction is still
-	// single-threaded: the Engine hands the same *Model to many goroutines,
-	// and these accessors fill their caches unsynchronized on first call.
-	m.ParamExpr()
-	m.FLOPsExpr()
-	m.BytesExpr()
 	a := &Analyzer{
 		Model:     m,
 		Compiled:  c,

@@ -230,3 +230,27 @@ func TestFootprintSweepAllocatorCap(t *testing.T) {
 		t.Fatal("allocator-visible footprint must plateau at the cap")
 	}
 }
+
+// coldBootAllocCeiling pins the heap allocations of one cold charlm boot,
+// models.Build plus NewAnalyzer: 499,530 on go1.24 linux/amd64 once the
+// graph derived each distinct shape and cost expression once, plus a 10%
+// margin. Deriving them per use instead multiplies it (that made
+// 18,592,521). It counts work, not wall time, so it reads the same on a
+// loaded 1-2 core box.
+const coldBootAllocCeiling = 549_000
+
+func TestColdBootAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the charlm graph twice")
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := NewAnalyzer(models.MustBuild(models.CharLM)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold charlm boot: %.0f allocations (ceiling %d)", allocs, coldBootAllocCeiling)
+	if allocs > coldBootAllocCeiling {
+		t.Errorf("cold charlm boot made %.0f allocations, above the pinned ceiling %d",
+			allocs, coldBootAllocCeiling)
+	}
+}

@@ -51,65 +51,59 @@ type Compiled struct {
 // of them — plus per-tensor byte sizes and the graph totals — into programs
 // sharing one symbol table.
 func Compile(g *Graph) *Compiled {
-	// Warm the per-node expression caches (synchronized, once per graph),
-	// then build the symbol table over every expression for deterministic
-	// slot order.
+	// Warm the per-node expression caches (synchronized, once per graph).
 	g.WarmCosts()
-	exprs := make([]symbolic.Expr, 0, 2*len(g.nodes)+len(g.tensors))
-	for _, n := range g.nodes {
-		exprs = append(exprs, n.FLOPs(), n.Bytes())
-	}
-	for _, t := range g.tensors {
-		exprs = append(exprs, t.Bytes())
-	}
-	syms := symbolic.SymTabFor(exprs...)
-
 	c := &Compiled{
 		Graph:       g,
-		Syms:        syms,
 		NodeFLOPs:   make([]*symbolic.Program, len(g.nodes)),
 		NodeBytes:   make([]*symbolic.Program, len(g.nodes)),
 		TensorBytes: make([]*symbolic.Program, len(g.tensors)),
+		nodeFLOPIx:  make([]int32, len(g.nodes)),
+		nodeByteIx:  make([]int32, len(g.nodes)),
+		tensorIx:    make([]int32, len(g.tensors)),
 	}
-	// Compile each distinct expression once, keyed by its canonical string
-	// form (canonical constructors make equal strings mean equal trees), and
-	// point every repeat at the shared program.
+	// Collect each distinct expression once, keyed by its canonical string
+	// form (canonical constructors make equal strings mean equal trees), in
+	// first-use order; every repeat points at the shared program.
+	var costExprs, tensorExprs []symbolic.Expr
 	costIndex := make(map[string]int32)
-	internCost := func(e symbolic.Expr) int32 {
+	tensorIndex := make(map[string]int32)
+	intern := func(index map[string]int32, uniq *[]symbolic.Expr, e symbolic.Expr) int32 {
 		key := e.String()
-		if ix, ok := costIndex[key]; ok {
+		if ix, ok := index[key]; ok {
 			return ix
 		}
-		ix := int32(len(c.costProgs))
-		costIndex[key] = ix
-		c.costProgs = append(c.costProgs, symbolic.Compile(e, syms))
+		ix := int32(len(*uniq))
+		index[key] = ix
+		*uniq = append(*uniq, e)
 		return ix
 	}
-	c.nodeFLOPIx = make([]int32, len(g.nodes))
-	c.nodeByteIx = make([]int32, len(g.nodes))
 	for i, n := range g.nodes {
-		c.nodeFLOPIx[i] = internCost(n.FLOPs())
-		c.nodeByteIx[i] = internCost(n.Bytes())
+		c.nodeFLOPIx[i] = intern(costIndex, &costExprs, n.FLOPs())
+		c.nodeByteIx[i] = intern(costIndex, &costExprs, n.Bytes())
+	}
+	for i, t := range g.tensors {
+		c.tensorIx[i] = intern(tensorIndex, &tensorExprs, t.Bytes())
+	}
+	// The symbol table covers every expression (the repeats add no symbols)
+	// in sorted order, so slot order is deterministic.
+	uniq := make([]symbolic.Expr, 0, len(costExprs)+len(tensorExprs))
+	syms := symbolic.SymTabFor(append(append(uniq, costExprs...), tensorExprs...)...)
+	c.Syms = syms
+	c.costProgs = symbolic.CompileAll(costExprs, syms)
+	c.tensorProgs = symbolic.CompileAll(tensorExprs, syms)
+	for i := range g.nodes {
 		c.NodeFLOPs[i] = c.costProgs[c.nodeFLOPIx[i]]
 		c.NodeBytes[i] = c.costProgs[c.nodeByteIx[i]]
 	}
-	tensorIndex := make(map[string]int32)
-	c.tensorIx = make([]int32, len(g.tensors))
-	for i, t := range g.tensors {
-		key := t.Bytes().String()
-		ix, ok := tensorIndex[key]
-		if !ok {
-			ix = int32(len(c.tensorProgs))
-			tensorIndex[key] = ix
-			c.tensorProgs = append(c.tensorProgs, symbolic.Compile(t.Bytes(), syms))
-		}
-		c.tensorIx[i] = ix
+	for i, ix := range c.tensorIx {
 		c.TensorBytes[i] = c.tensorProgs[ix]
 	}
 	c.ParamCount = symbolic.Compile(g.ParamCount(), syms)
 	c.TotalFLOPs = symbolic.Compile(g.TotalFLOPs(), syms)
 	c.TotalBytes = symbolic.Compile(g.TotalBytes(), syms)
 	c.IO = symbolic.Compile(g.AlgorithmicIO(), syms)
+	g.derive.dropIndexes()
 	return c
 }
 

@@ -63,13 +63,29 @@ type Tensor struct {
 	Consumers []*Node
 
 	id int
+	g  *Graph // owning graph, whose memo serves NumElements and Bytes
+	// numel and size are 1 + the indexes of NumElements and Bytes in g's
+	// memo; 0 until derived.
+	numel, size int32
 }
 
-// NumElements returns the symbolic element count.
-func (t *Tensor) NumElements() symbolic.Expr { return t.Shape.NumElements() }
+// NumElements returns the symbolic element count. The owning graph derives
+// it once per distinct shape and shares it between tensors.
+func (t *Tensor) NumElements() symbolic.Expr {
+	if t.g == nil {
+		return t.Shape.NumElements()
+	}
+	return t.g.derive.tensorNumel(t)
+}
 
-// Bytes returns the symbolic byte size.
-func (t *Tensor) Bytes() symbolic.Expr { return t.Shape.Bytes(t.DType) }
+// Bytes returns the symbolic byte size. The owning graph derives it once
+// per distinct (dtype, shape) and shares it between tensors.
+func (t *Tensor) Bytes() symbolic.Expr {
+	if t.g == nil {
+		return t.Shape.Bytes(t.DType)
+	}
+	return t.g.derive.tensorBytes(t)
+}
 
 // Persistent reports whether the tensor outlives the training step.
 func (t *Tensor) Persistent() bool { return t.Kind == Param || t.Kind == State }
@@ -98,6 +114,7 @@ type Node struct {
 	Outputs []*Tensor
 
 	id int
+	g  *Graph // owning graph, whose memo serves IOBytes
 
 	// flopsExpr / bytesExpr cache the op-derived cost expressions, which are
 	// pure functions of the (immutable) wiring. Deriving them per query was
@@ -132,16 +149,24 @@ func (n *Node) String() string {
 }
 
 // IOBytes is the default byte model: every input read once plus every output
-// written once.
+// written once. The owning graph derives the sum once per distinct sequence
+// of operand sizes.
 func IOBytes(n *Node) symbolic.Expr {
-	parts := make([]symbolic.Expr, 0, len(n.Inputs)+len(n.Outputs))
-	for _, t := range n.Inputs {
-		parts = append(parts, t.Bytes())
+	if n.g == nil {
+		d := derivations{uncached: true}
+		return d.ioBytesOf(n)
 	}
-	for _, t := range n.Outputs {
-		parts = append(parts, t.Bytes())
+	return n.g.derive.ioBytesOf(n)
+}
+
+// Product returns symbolic.Mul(factors...). n's graph derives it once per
+// distinct sequence of factors, so op cost models repeated across the
+// layers and timesteps of a graph simplify once.
+func Product(n *Node, factors ...symbolic.Expr) symbolic.Expr {
+	if n.g == nil {
+		return symbolic.Mul(factors...)
 	}
-	return symbolic.Add(parts...)
+	return n.g.derive.product(factors)
 }
 
 // Graph is a directed acyclic compute graph for one training step.
@@ -154,6 +179,7 @@ type Graph struct {
 	nameSeqs map[string]int
 
 	warmOnce sync.Once
+	derive   derivations
 }
 
 // WarmCosts derives and caches every node's FLOP and byte expressions,
@@ -201,6 +227,7 @@ func (g *Graph) NewTensor(name string, kind TensorKind, dt tensor.DType, shape t
 		DType: dt,
 		Shape: shape,
 		id:    len(g.tensors),
+		g:     g,
 	}
 	g.tensors = append(g.tensors, t)
 	g.byName[t.Name] = t
@@ -217,6 +244,7 @@ func (g *Graph) AddNode(name, group string, op Op, inputs, outputs []*Tensor) (*
 		Inputs:  inputs,
 		Outputs: outputs,
 		id:      len(g.nodes),
+		g:       g,
 	}
 	for _, t := range outputs {
 		if t.Producer != nil {
@@ -273,8 +301,11 @@ func (g *Graph) Params() []*Tensor {
 	return out
 }
 
-// ParamCount returns the symbolic total number of trainable parameters.
-func (g *Graph) ParamCount() symbolic.Expr {
+// ParamCount returns the symbolic total number of trainable parameters,
+// derived once per graph.
+func (g *Graph) ParamCount() symbolic.Expr { return g.total(&g.derive.params, g.paramCount) }
+
+func (g *Graph) paramCount() symbolic.Expr {
 	parts := make([]symbolic.Expr, 0, 16)
 	for _, t := range g.tensors {
 		if t.Kind == Param {
@@ -286,8 +317,10 @@ func (g *Graph) ParamCount() symbolic.Expr {
 
 // AlgorithmicIO returns the training-data bytes staged into one step — the
 // total size of Input tensors (paper §2.1: algorithmic IO is proportional to
-// batch size but fixed as model size grows).
-func (g *Graph) AlgorithmicIO() symbolic.Expr {
+// batch size but fixed as model size grows). It is derived once per graph.
+func (g *Graph) AlgorithmicIO() symbolic.Expr { return g.total(&g.derive.algo, g.algorithmicIO) }
+
+func (g *Graph) algorithmicIO() symbolic.Expr {
 	parts := make([]symbolic.Expr, 0, 8)
 	for _, t := range g.tensors {
 		if t.Kind == Input {
@@ -298,8 +331,11 @@ func (g *Graph) AlgorithmicIO() symbolic.Expr {
 }
 
 // TotalFLOPs returns the symbolic algorithmic FLOPs for one traversal of the
-// whole graph (one training step if the graph includes backward ops).
-func (g *Graph) TotalFLOPs() symbolic.Expr {
+// whole graph (one training step if the graph includes backward ops),
+// derived once per graph.
+func (g *Graph) TotalFLOPs() symbolic.Expr { return g.total(&g.derive.flops, g.totalFLOPs) }
+
+func (g *Graph) totalFLOPs() symbolic.Expr {
 	g.WarmCosts()
 	parts := make([]symbolic.Expr, 0, len(g.nodes))
 	for _, n := range g.nodes {
@@ -309,8 +345,10 @@ func (g *Graph) TotalFLOPs() symbolic.Expr {
 }
 
 // TotalBytes returns the symbolic algorithmic bytes accessed by one
-// traversal of the whole graph.
-func (g *Graph) TotalBytes() symbolic.Expr {
+// traversal of the whole graph, derived once per graph.
+func (g *Graph) TotalBytes() symbolic.Expr { return g.total(&g.derive.bytes, g.totalBytes) }
+
+func (g *Graph) totalBytes() symbolic.Expr {
 	g.WarmCosts()
 	parts := make([]symbolic.Expr, 0, len(g.nodes))
 	for _, n := range g.nodes {

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"catamount/internal/symbolic"
@@ -144,6 +146,51 @@ func TestTotalsAndParamCount(t *testing.T) {
 	}
 	if st.Intensity != 100.0/320.0 {
 		t.Fatalf("intensity = %v", st.Intensity)
+	}
+}
+
+// TestDerivationMemo pins what the graph's derivation memo shares and what
+// it keeps apart: equal (dtype size, shape) tensors share one byte
+// expression, a different dtype size does not, repeated node signatures
+// share one IOBytes sum, and the totals follow a graph that grows after
+// they were first derived.
+func TestDerivationMemo(t *testing.T) {
+	g := newTestGraph(t)
+	h := symbolic.S("h")
+	a := g.NewTensor("a", Input, tensor.F32, tensor.Of(2, h))
+	b := g.NewTensor("b", Activation, tensor.F32, tensor.Of(2, h))
+	c := g.NewTensor("c", Activation, tensor.I32, tensor.Of(2, h))
+	half := g.NewTensor("half", Activation, tensor.F16, tensor.Of(2, h))
+	for _, tn := range []*Tensor{a, b, c, half} {
+		if got, want := tn.Bytes().String(), tn.Shape.Bytes(tn.DType).String(); got != want {
+			t.Errorf("%s bytes = %s, want %s", tn.Name, got, want)
+		}
+		if got, want := tn.NumElements().String(), tn.Shape.NumElements().String(); got != want {
+			t.Errorf("%s elements = %s, want %s", tn.Name, got, want)
+		}
+	}
+	if before := Derivations(g); a.Bytes() == nil || Derivations(g) != before {
+		t.Error("a repeated Bytes call derived again")
+	}
+
+	n1 := g.MustAddNode("n1", "", fakeOp{"relu", 1}, []*Tensor{a}, []*Tensor{b})
+	bytes1 := g.TotalBytes()
+	d := g.NewTensor("d", Activation, tensor.F32, tensor.Of(2, h))
+	n2 := g.MustAddNode("n2", "", fakeOp{"relu", 1}, []*Tensor{b}, []*Tensor{d})
+	if IOBytes(n1).String() != IOBytes(n2).String() {
+		t.Errorf("equal signatures: %s vs %s", IOBytes(n1), IOBytes(n2))
+	}
+	n3 := g.MustAddNode("n3", "", fakeOp{"relu", 1}, []*Tensor{d}, []*Tensor{half})
+	if IOBytes(n3).String() == IOBytes(n1).String() {
+		t.Errorf("f16 output shares the f32 signature's sum %s", IOBytes(n3))
+	}
+	env := symbolic.Env{"h": 8}
+	if v := symbolic.MustEval(bytes1, env); v != 128 {
+		t.Errorf("one-node total bytes = %v, want 128", v)
+	}
+	// n1, n2: 64+64 each; n3: 64 + 32.
+	if v := symbolic.MustEval(g.TotalBytes(), env); v != 352 {
+		t.Errorf("total bytes after growing the graph = %v, want 352", v)
 	}
 }
 
@@ -292,5 +339,43 @@ func TestGroupAccounting(t *testing.T) {
 	names := SortedGroupNames(fp)
 	if len(names) != 2 || names[0] != "embed" {
 		t.Fatalf("sorted names = %v", names)
+	}
+}
+
+// TestDerivationMemoConcurrent fills one fresh graph's memo from several
+// goroutines at once, through every entry point that derives (the tree
+// walk footprint, Compile and the totals); run under -race.
+func TestDerivationMemoConcurrent(t *testing.T) {
+	g := buildChainGraph(64)
+	env := symbolic.Env{"h": 16}
+	want, err := buildChainGraph(64).Footprint(env, PolicyMemGreedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			res, err := g.Footprint(env, PolicyMemGreedy)
+			if err == nil && res.PeakBytes != want.PeakBytes {
+				err = fmt.Errorf("peak %v, want %v", res.PeakBytes, want.PeakBytes)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			Compile(g)
+			g.TotalBytes()
+			errs <- nil
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -48,10 +48,6 @@ type Model struct {
 	SeqLen int
 	// DefaultBatch is the paper's profiling subbatch for this domain.
 	DefaultBatch float64
-
-	paramExpr symbolic.Expr
-	flopsExpr symbolic.Expr
-	bytesExpr symbolic.Expr
 }
 
 // Env binds the model's size and batch symbols.
@@ -59,29 +55,17 @@ func (m *Model) Env(size, batch float64) symbolic.Env {
 	return symbolic.Env{m.SizeSymbol: size, m.BatchSymbol: batch}
 }
 
-// ParamExpr returns the cached symbolic trainable-parameter count.
-func (m *Model) ParamExpr() symbolic.Expr {
-	if m.paramExpr == nil {
-		m.paramExpr = m.Graph.ParamCount()
-	}
-	return m.paramExpr
-}
+// ParamExpr returns the symbolic trainable-parameter count (derived once
+// by the graph).
+func (m *Model) ParamExpr() symbolic.Expr { return m.Graph.ParamCount() }
 
-// FLOPsExpr returns the cached symbolic per-step algorithmic FLOPs.
-func (m *Model) FLOPsExpr() symbolic.Expr {
-	if m.flopsExpr == nil {
-		m.flopsExpr = m.Graph.TotalFLOPs()
-	}
-	return m.flopsExpr
-}
+// FLOPsExpr returns the symbolic per-step algorithmic FLOPs (derived once by
+// the graph).
+func (m *Model) FLOPsExpr() symbolic.Expr { return m.Graph.TotalFLOPs() }
 
-// BytesExpr returns the cached symbolic per-step algorithmic bytes.
-func (m *Model) BytesExpr() symbolic.Expr {
-	if m.bytesExpr == nil {
-		m.bytesExpr = m.Graph.TotalBytes()
-	}
-	return m.bytesExpr
-}
+// BytesExpr returns the symbolic per-step algorithmic bytes (derived once by
+// the graph).
+func (m *Model) BytesExpr() symbolic.Expr { return m.Graph.TotalBytes() }
 
 // Params evaluates the trainable parameter count at the given size.
 func (m *Model) Params(size float64) float64 {

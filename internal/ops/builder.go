@@ -314,12 +314,12 @@ func (b *Builder) reduce(x *graph.Tensor, keepDims int, mean bool) *graph.Tensor
 
 // Reshape reinterprets x with a new shape of identical element count.
 func (b *Builder) Reshape(x *graph.Tensor, dims ...any) *graph.Tensor {
-	newShape := tensor.Of(dims...)
-	if !symbolic.Equal(x.Shape.NumElements(), newShape.NumElements()) {
-		shapePanic("reshape: element count %v != %v",
-			x.Shape.NumElements(), newShape.NumElements())
+	out := b.actLike("reshape", tensor.Of(dims...), x)
+	// Both element counts come from the graph's memo: unrolled models
+	// reshape the same shapes every timestep.
+	if !symbolic.Equal(x.NumElements(), out.NumElements()) {
+		shapePanic("reshape: element count %v != %v", x.NumElements(), out.NumElements())
 	}
-	out := b.actLike("reshape", newShape, x)
 	b.add("reshape", Reshape{}, []*graph.Tensor{x}, []*graph.Tensor{out})
 	return out
 }

@@ -35,7 +35,7 @@ func (o MatMul) FLOPs(n *graph.Node) symbolic.Expr {
 	if o.TransA {
 		kIdx = 0
 	}
-	return symbolic.Mul(symbolic.C(2), y.Shape.Dim(0), y.Shape.Dim(1), a.Shape.Dim(kIdx))
+	return graph.Product(n, symbolic.C(2), y.Shape.Dim(0), y.Shape.Dim(1), a.Shape.Dim(kIdx))
 }
 
 // Bytes implements graph.Op.
@@ -57,7 +57,7 @@ func (o BatchedMatMul) FLOPs(n *graph.Node) symbolic.Expr {
 	if o.TransA {
 		kIdx = 1
 	}
-	return symbolic.Mul(symbolic.C(2), y.Shape.Dim(0), y.Shape.Dim(1), y.Shape.Dim(2), a.Shape.Dim(kIdx))
+	return graph.Product(n, symbolic.C(2), y.Shape.Dim(0), y.Shape.Dim(1), y.Shape.Dim(2), a.Shape.Dim(kIdx))
 }
 
 // Bytes implements graph.Op.
@@ -79,7 +79,7 @@ func (o Conv2D) Kind() string { return "conv2d" }
 func (o Conv2D) FLOPs(n *graph.Node) symbolic.Expr {
 	y := out0(n)
 	w := n.Inputs[1]
-	return symbolic.Mul(symbolic.C(2),
+	return graph.Product(n, symbolic.C(2),
 		y.Shape.Dim(0), y.Shape.Dim(1), y.Shape.Dim(2), y.Shape.Dim(3),
 		w.Shape.Dim(0), w.Shape.Dim(1), w.Shape.Dim(2))
 }
@@ -100,7 +100,7 @@ func (o Conv2DGradInput) FLOPs(n *graph.Node) symbolic.Expr {
 	// inputs: W[r,s,c,k], dY[n,h',w',k]; output dX[n,h,w,c].
 	w := n.Inputs[0]
 	dy := n.Inputs[1]
-	return symbolic.Mul(symbolic.C(2),
+	return graph.Product(n, symbolic.C(2),
 		dy.Shape.Dim(0), dy.Shape.Dim(1), dy.Shape.Dim(2), dy.Shape.Dim(3),
 		w.Shape.Dim(0), w.Shape.Dim(1), w.Shape.Dim(2))
 }
@@ -120,7 +120,7 @@ func (o Conv2DGradWeight) Kind() string { return "conv2d-grad-weight" }
 func (o Conv2DGradWeight) FLOPs(n *graph.Node) symbolic.Expr {
 	dy := n.Inputs[1]
 	dw := out0(n)
-	return symbolic.Mul(symbolic.C(2),
+	return graph.Product(n, symbolic.C(2),
 		dy.Shape.Dim(0), dy.Shape.Dim(1), dy.Shape.Dim(2), dy.Shape.Dim(3),
 		dw.Shape.Dim(0), dw.Shape.Dim(1), dw.Shape.Dim(2))
 }
@@ -152,7 +152,7 @@ func (o Unary) Kind() string { return o.Fn }
 
 // FLOPs implements graph.Op.
 func (o Unary) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(o.FlopsPerElem), numel(out0(n)))
+	return graph.Product(n, symbolic.C(o.FlopsPerElem), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -172,7 +172,7 @@ func (o UnaryGrad) Kind() string { return o.Fn + "-grad" }
 
 // FLOPs implements graph.Op.
 func (o UnaryGrad) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(o.FlopsPerElem), numel(out0(n)))
+	return graph.Product(n, symbolic.C(o.FlopsPerElem), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -221,7 +221,7 @@ func (o Embedding) FLOPs(*graph.Node) symbolic.Expr { return symbolic.Zero }
 func (o Embedding) Bytes(n *graph.Node) symbolic.Expr {
 	ids := n.Inputs[0]
 	out := out0(n)
-	return symbolic.Add(ids.Bytes(), symbolic.Mul(symbolic.C(2), out.Bytes()))
+	return symbolic.Add(ids.Bytes(), graph.Product(n, symbolic.C(2), out.Bytes()))
 }
 
 // EmbeddingGrad scatter-adds dY rows into the (dense) table gradient.
@@ -238,7 +238,7 @@ func (o EmbeddingGrad) FLOPs(n *graph.Node) symbolic.Expr { return numel(n.Input
 func (o EmbeddingGrad) Bytes(n *graph.Node) symbolic.Expr {
 	ids := n.Inputs[0]
 	dy := n.Inputs[1]
-	return symbolic.Add(ids.Bytes(), symbolic.Mul(symbolic.C(2), dy.Bytes()))
+	return symbolic.Add(ids.Bytes(), graph.Product(n, symbolic.C(2), dy.Bytes()))
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ func (o Softmax) Kind() string { return "softmax" }
 
 // FLOPs implements graph.Op: max-subtract, exp, sum, divide ≈ 4 per element.
 func (o Softmax) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(4), numel(out0(n)))
+	return graph.Product(n, symbolic.C(4), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -266,7 +266,7 @@ func (o SoftmaxGrad) Kind() string { return "softmax-grad" }
 
 // FLOPs implements graph.Op.
 func (o SoftmaxGrad) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(4), numel(out0(n)))
+	return graph.Product(n, symbolic.C(4), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -282,7 +282,7 @@ func (o SoftmaxXent) Kind() string { return "softmax-xent" }
 // FLOPs implements graph.Op: softmax (4/elem) plus log-likelihood gather and
 // reduction (≈1/elem).
 func (o SoftmaxXent) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(5), numel(n.Inputs[0]))
+	return graph.Product(n, symbolic.C(5), numel(n.Inputs[0]))
 }
 
 // Bytes implements graph.Op.
@@ -296,7 +296,7 @@ func (o SoftmaxXentGrad) Kind() string { return "softmax-xent-grad" }
 
 // FLOPs implements graph.Op.
 func (o SoftmaxXentGrad) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(2), numel(out0(n)))
+	return graph.Product(n, symbolic.C(2), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -314,7 +314,7 @@ func (o BatchNorm) Kind() string { return "batchnorm" }
 // FLOPs implements graph.Op: mean, variance, normalize, scale-shift ≈ 8/elem
 // in training mode.
 func (o BatchNorm) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(8), numel(out0(n)))
+	return graph.Product(n, symbolic.C(8), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -328,7 +328,7 @@ func (o BatchNormGrad) Kind() string { return "batchnorm-grad" }
 
 // FLOPs implements graph.Op.
 func (o BatchNormGrad) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(11), numel(out0(n)))
+	return graph.Product(n, symbolic.C(11), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -350,7 +350,7 @@ func (o Pool) Kind() string {
 
 // FLOPs implements graph.Op: one compare/add per window element.
 func (o Pool) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(float64(o.KH*o.KW)), numel(out0(n)))
+	return graph.Product(n, symbolic.C(float64(o.KH*o.KW)), numel(out0(n)))
 }
 
 // Bytes implements graph.Op.
@@ -502,12 +502,12 @@ func (o SGDMomentum) Kind() string { return "sgd-momentum" }
 
 // FLOPs implements graph.Op: 4 FLOPs per parameter.
 func (o SGDMomentum) FLOPs(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(4), numel(n.Inputs[0]))
+	return graph.Product(n, symbolic.C(4), numel(n.Inputs[0]))
 }
 
 // Bytes implements graph.Op: read w,g,m; write w,m — five accesses/param.
 func (o SGDMomentum) Bytes(n *graph.Node) symbolic.Expr {
-	return symbolic.Mul(symbolic.C(5), n.Inputs[0].Bytes())
+	return graph.Product(n, symbolic.C(5), n.Inputs[0].Bytes())
 }
 
 // IsGradKind reports whether an op kind string names a backward op. Used by

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"sort"
 	"time"
 
 	"catamount/internal/costmodel"
@@ -60,9 +61,10 @@ type BatchBenchReport struct {
 	PerOpWarmSeconds  float64 `json:"perop_warm_seconds"`
 	PerOpPointsPerSec float64 `json:"perop_points_per_sec"`
 	// PerOpOverGraph is the per-op backend's warm-time ratio against the
-	// graph backend, both through the batched pipeline. Batching collapses
-	// the per-node program evaluations into per-unique-program row sweeps,
-	// which is what pulls this toward 1.
+	// graph backend, both through the batched pipeline: the median over
+	// interleaved pairs of runs. Batching collapses the per-node program
+	// evaluations into per-unique-program row sweeps, which is what pulls
+	// this toward 1.
 	PerOpOverGraph float64 `json:"perop_over_graph_x"`
 
 	// Heap-traffic trajectory: warm bytes/point against the PR3 scalar
@@ -82,29 +84,24 @@ func (r *Runner) runScalarBaseline(ctx context.Context) error {
 	np, nb := len(r.params), r.cellsPerPair()
 
 	sizes := make([]solvedSize, len(r.domains)*np)
-	r.forEach(ctx, len(sizes), func(i int, ses *sessions) {
-		s, err := ses.at(r.domains[i/np])
-		if err != nil {
-			sizes[i] = solvedSize{err: err}
-			return
-		}
-		size, err := s.SizeForParams(r.params[i%np])
-		sizes[i] = solvedSize{size: size, err: err}
+	r.forEach(ctx, len(sizes), func(i int) {
+		sizes[i] = r.solveSize(r.domains[i/np], r.params[i%np])
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	r.forEach(ctx, len(r.domains)*np*nb, func(i int, ses *sessions) {
+	r.forEach(ctx, len(r.domains)*np*nb, func(i int) {
 		di, pi, bi := i/(np*nb), (i/nb)%np, i%nb
 		sol := sizes[di*np+pi]
 		if sol.err != nil {
 			return
 		}
-		s, err := ses.at(r.domains[di])
+		s, err := r.session(r.domains[di])
 		if err != nil {
 			return
 		}
+		defer r.release(r.domains[di], s)
 		batch := s.Analyzer().Model.DefaultBatch
 		if len(r.subbatches) > 0 {
 			batch = r.subbatches[bi]
@@ -161,29 +158,72 @@ func timedScalarGrid(ctx context.Context, r *Runner) (best, bytesPerPoint float6
 	return best, bytesPerPoint, nil
 }
 
+// timedRun runs a runner warm once, returning its wall time with its
+// allocs/point and bytes/point.
+func timedRun(ctx context.Context, r *Runner) (secs, allocsPerPoint, bytesPerPoint float64, err error) {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	if err := r.Run(ctx, func(Point) error { return nil }); err != nil {
+		return 0, 0, 0, err
+	}
+	secs = time.Since(start).Seconds()
+	runtime.ReadMemStats(&ms1)
+	allocsPerPoint = float64(ms1.Mallocs-ms0.Mallocs) / float64(r.Points())
+	bytesPerPoint = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(r.Points())
+	return secs, allocsPerPoint, bytesPerPoint, nil
+}
+
 // timedGridStats runs a runner warm reps times, returning the best wall
 // time with its allocs/point and bytes/point. Best-of damps scheduler and
-// GC noise; the batch harness uses more reps than the older harnesses
-// because its headline is a ratio of two measured times.
+// GC noise.
 func timedGridStats(ctx context.Context, r *Runner, reps int) (best, allocsPerPoint, bytesPerPoint float64, err error) {
-	discard := func(Point) error { return nil }
-	var ms0, ms1 runtime.MemStats
 	best = -1
 	for rerun := 0; rerun < reps; rerun++ {
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		if err := r.Run(ctx, discard); err != nil {
+		secs, allocs, bytes, err := timedRun(ctx, r)
+		if err != nil {
 			return 0, 0, 0, err
 		}
-		elapsed := time.Since(start).Seconds()
-		runtime.ReadMemStats(&ms1)
-		if best < 0 || elapsed < best {
-			best = elapsed
-			allocsPerPoint = float64(ms1.Mallocs-ms0.Mallocs) / float64(r.Points())
-			bytesPerPoint = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(r.Points())
+		if best < 0 || secs < best {
+			best, allocsPerPoint, bytesPerPoint = secs, allocs, bytes
 		}
 	}
 	return best, allocsPerPoint, bytesPerPoint, nil
+}
+
+// batchBenchPairs is how many interleaved graph/per-op run pairs the batch
+// harness times.
+const batchBenchPairs = 9
+
+// timedPairs times the graph and per-op runners in interleaved pairs, back
+// to back. It returns each backend's best wall time (the graph one with
+// its allocs/point and bytes/point) and the median over pairs of the
+// per-op/graph time ratio: a slow spell on a shared host then slows both
+// halves of a pair, where separate best-of runs let it land on one
+// backend only.
+func timedPairs(ctx context.Context, graphRunner, peropRunner *Runner) (
+	graphBest, allocsPerPoint, bytesPerPoint, peropBest, ratio float64, err error) {
+
+	ratios := make([]float64, 0, batchBenchPairs)
+	for pair := 0; pair < batchBenchPairs; pair++ {
+		g, allocs, bytes, err := timedRun(ctx, graphRunner)
+		if err != nil {
+			return 0, 0, 0, 0, 0, err
+		}
+		p, _, _, err := timedRun(ctx, peropRunner)
+		if err != nil {
+			return 0, 0, 0, 0, 0, err
+		}
+		if pair == 0 || g < graphBest {
+			graphBest, allocsPerPoint, bytesPerPoint = g, allocs, bytes
+		}
+		if pair == 0 || p < peropBest {
+			peropBest = p
+		}
+		ratios = append(ratios, p/g)
+	}
+	sort.Float64s(ratios)
+	return graphBest, allocsPerPoint, bytesPerPoint, peropBest, ratios[len(ratios)/2], nil
 }
 
 // RunBatchBench runs the reference grid batched (graph and per-op
@@ -223,17 +263,16 @@ func RunBatchBench(ctx context.Context) (*BatchBenchReport, error) {
 		PR3BytesPerPoint: pr3BytesPerPoint,
 	}
 
-	// Warm-up: build + compile every domain once, outside any timed region.
-	if err := graphRunner.Run(ctx, func(Point) error { return nil }); err != nil {
-		return nil, err
+	// Warm-up: build + compile every domain once and fill both runners'
+	// session free lists, outside any timed region.
+	for _, r := range []*Runner{graphRunner, peropRunner} {
+		if err := r.Run(ctx, func(Point) error { return nil }); err != nil {
+			return nil, err
+		}
 	}
 
-	rep.BatchedWarmSeconds, rep.BatchedAllocsPerPoint, rep.BatchedBytesPerPoint, err =
-		timedGridStats(ctx, graphRunner, 5)
-	if err != nil {
-		return nil, err
-	}
-	rep.PerOpWarmSeconds, _, _, err = timedGridStats(ctx, peropRunner, 5)
+	rep.BatchedWarmSeconds, rep.BatchedAllocsPerPoint, rep.BatchedBytesPerPoint,
+		rep.PerOpWarmSeconds, rep.PerOpOverGraph, err = timedPairs(ctx, graphRunner, peropRunner)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +286,6 @@ func RunBatchBench(ctx context.Context) (*BatchBenchReport, error) {
 	rep.PerOpPointsPerSec = pts / rep.PerOpWarmSeconds
 	rep.ScalarPointsPerSec = pts / rep.ScalarWarmSeconds
 	rep.BatchedOverScalar = rep.ScalarWarmSeconds / rep.BatchedWarmSeconds
-	rep.PerOpOverGraph = rep.PerOpWarmSeconds / rep.BatchedWarmSeconds
 	rep.BytesReduction = pr3BytesPerPoint / rep.BatchedBytesPerPoint
 	return rep, nil
 }

@@ -107,9 +107,15 @@ type Runner struct {
 	stageStep     *obs.Histogram
 	stageStepName string
 
-	// pool recycles per-worker session maps across Run calls, so repeated
-	// runs (the server, the bench harness) keep their evaluation buffers.
-	pool sync.Pool
+	// free recycles evaluation sessions across tasks and Run calls, per
+	// domain, so repeated runs (the server, the bench harness) keep their
+	// evaluation buffers. A task takes a session for its domain and hands
+	// it back when done, so a warm run allocates none whichever worker
+	// picks up which domain, and each domain keeps at most as many
+	// sessions as it ever had tasks in flight. It is a plain mutex-guarded
+	// list, not a sync.Pool, because a GC empties a sync.Pool.
+	freeMu sync.Mutex
+	free   map[models.Domain][]*core.Session
 }
 
 // CostModel returns the runner's resolved step-time backend.
@@ -248,36 +254,45 @@ type taskResult struct {
 	bounds   []costmodel.Bound // same layout
 }
 
-// sessions lazily materializes one evaluation scratchpad per domain for a
-// single worker goroutine.
-type sessions struct {
-	src SessionSource
-	m   map[models.Domain]*core.Session
+// solveSize solves one (domain, params) size. It takes no session: one
+// made only for overlapping solves would reach the free list with its
+// batch buffers not yet grown, and the task handed it would allocate them.
+func (r *Runner) solveSize(d models.Domain, params float64) solvedSize {
+	a, err := r.src.Analyzer(d)
+	if err != nil {
+		return solvedSize{err: err}
+	}
+	size, err := a.SizeForParams(params)
+	return solvedSize{size: size, err: err}
 }
 
-func (s *sessions) at(d models.Domain) (*core.Session, error) {
-	if ses, ok := s.m[d]; ok {
-		return ses, nil
+// session takes an evaluation scratchpad for d off the free list, or makes
+// one. Hand it back with release once nothing aliases its buffers.
+func (r *Runner) session(d models.Domain) (*core.Session, error) {
+	r.freeMu.Lock()
+	if l := r.free[d]; len(l) > 0 {
+		s := l[len(l)-1]
+		l[len(l)-1] = nil
+		r.free[d] = l[:len(l)-1]
+		r.freeMu.Unlock()
+		return s, nil
 	}
-	a, err := s.src.Analyzer(d)
+	r.freeMu.Unlock()
+	a, err := r.src.Analyzer(d)
 	if err != nil {
 		return nil, err
 	}
-	ses := a.NewSession()
-	s.m[d] = ses
-	return ses, nil
+	return a.NewSession(), nil
 }
 
-// getSessions hands a worker a session map, recycled across Run calls so
-// warm runs keep their compiled-evaluation buffers.
-func (r *Runner) getSessions() *sessions {
-	if v := r.pool.Get(); v != nil {
-		return v.(*sessions)
+func (r *Runner) release(d models.Domain, s *core.Session) {
+	r.freeMu.Lock()
+	if r.free == nil {
+		r.free = make(map[models.Domain][]*core.Session)
 	}
-	return &sessions{src: r.src, m: make(map[models.Domain]*core.Session)}
+	r.free[d] = append(r.free[d], s)
+	r.freeMu.Unlock()
 }
-
-func (r *Runner) putSessions(s *sessions) { r.pool.Put(s) }
 
 // Run evaluates the grid, streaming every point through yield in
 // deterministic order (domain-major, then params, then subbatch, then
@@ -333,20 +348,14 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 	// every subbatch and accelerator of the pair. Pairs belonging entirely
 	// to skipped tasks are left unsolved.
 	sizes := make([]solvedSize, len(r.domains)*np)
-	r.forEach(ctx, len(sizes), func(i int, ses *sessions) {
+	r.forEach(ctx, len(sizes), func(i int) {
 		if startSeq > 0 {
 			task := (i/np)*tasksPerDomain + (i%np)/chunkLen
 			if r.taskSeqEnd(task, np, nb, chunkLen, tasksPerDomain) <= startSeq {
 				return
 			}
 		}
-		s, err := ses.at(r.domains[i/np])
-		if err != nil {
-			sizes[i] = solvedSize{err: err}
-			return
-		}
-		size, err := s.SizeForParams(r.params[i%np])
-		sizes[i] = solvedSize{size: size, err: err}
+		sizes[i] = r.solveSize(r.domains[i/np], r.params[i%np])
 	})
 	if err := ctx.Err(); err != nil {
 		return err
@@ -357,11 +366,11 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 	// one domain — a whole grid row fed through a single batched
 	// characterization and one batched step-time call per accelerator.
 	results := make([]taskResult, numTasks)
-	evalTask := func(t int, ses *sessions) {
+	evalTask := func(t int) {
 		if r.taskSeqEnd(t, np, nb, chunkLen, tasksPerDomain) <= startSeq {
 			return // wholly before the resume point; emits nothing
 		}
-		results[t] = r.evalTask(ctx, t, np, nb, chunkLen, tasksPerDomain, sizes, ses)
+		results[t] = r.evalTask(ctx, t, np, nb, chunkLen, tasksPerDomain, sizes)
 	}
 
 	workers := r.workers
@@ -375,10 +384,8 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ses := r.getSessions()
-			defer r.putSessions(ses)
 			for i := range next {
-				evalTask(i, ses)
+				evalTask(i)
 				select {
 				case completed <- i:
 				case <-ctx.Done():
@@ -430,7 +437,7 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 // carries the caller's context, so a server-side sweep's request ID tags
 // its trace lines.
 func (r *Runner) evalTask(ctx context.Context, t, np, nb, chunkLen, tasksPerDomain int,
-	sizes []solvedSize, ses *sessions) taskResult {
+	sizes []solvedSize) taskResult {
 
 	csp := obs.StartSpan(ctx, "sweep_chunk", stageChunk)
 	ctx = csp.Attach(ctx)
@@ -448,7 +455,7 @@ func (r *Runner) evalTask(ctx context.Context, t, np, nb, chunkLen, tasksPerDoma
 		validIdx: make([]int, rows),
 	}
 
-	s, err := ses.at(r.domains[di])
+	s, err := r.session(r.domains[di])
 	if err != nil {
 		for row := range tr.errs {
 			tr.errs[row] = err
@@ -456,6 +463,7 @@ func (r *Runner) evalTask(ctx context.Context, t, np, nb, chunkLen, tasksPerDoma
 		}
 		return tr
 	}
+	defer r.release(r.domains[di], s)
 
 	sizeCol := make([]float64, 0, rows)
 	batchCol := make([]float64, 0, rows)
@@ -564,22 +572,20 @@ func (r *Runner) emitTask(t, np, nb, chunkLen, tasksPerDomain, startSeq int,
 	return nil
 }
 
-// forEach runs fn(i) for i in [0, n) across the runner's worker pool, each
-// worker holding its own session map. fn records its own results; the loop
-// stops dispatching when ctx is cancelled.
-func (r *Runner) forEach(ctx context.Context, n int, fn func(i int, ses *sessions)) {
+// forEach runs fn(i) for i in [0, n) across the runner's worker pool. fn
+// records its own results; the loop stops dispatching when ctx is
+// cancelled.
+func (r *Runner) forEach(ctx context.Context, n int, fn func(i int)) {
 	workers := r.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		ses := r.getSessions()
-		defer r.putSessions(ses)
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return
 			}
-			fn(i, ses)
+			fn(i)
 		}
 		return
 	}
@@ -589,10 +595,8 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(i int, ses *session
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ses := r.getSessions()
-			defer r.putSessions(ses)
 			for i := range next {
-				fn(i, ses)
+				fn(i)
 			}
 		}()
 	}

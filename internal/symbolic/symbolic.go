@@ -122,12 +122,44 @@ func Add(args ...Expr) Expr {
 	}
 	buckets := make(map[string]*bucket)
 	order := make([]string, 0, len(args))
+	// Long sums over unrolled graphs repeat a few distinct terms thousands
+	// of times, so each distinct non-constant term is split into
+	// coefficient and bucket once per call. Coefficients still accumulate
+	// term by term, in argument order, so the result is unchanged.
+	type termID struct {
+		kind byte
+		str  string
+	}
+	type split struct {
+		coef float64
+		b    *bucket
+	}
+	var splits map[termID]split
+	if len(args) > longSum {
+		splits = make(map[termID]split)
+	}
 	var push func(e Expr)
 	push = func(e Expr) {
-		if a, ok := e.(add); ok {
-			for _, t := range a.terms {
+		var id termID
+		switch v := e.(type) {
+		case add:
+			for _, t := range v.terms {
 				push(t)
 			}
+			return
+		case Const:
+			id.kind = 'c'
+		case Symbol:
+			id = termID{'s', string(v)}
+		case mul:
+			id = termID{'*', v.str}
+		case pow:
+			id = termID{'^', v.str}
+		case call:
+			id = termID{'@', v.str}
+		}
+		if sp, ok := splits[id]; ok {
+			sp.b.coef += sp.coef
 			return
 		}
 		coef, unit := splitCoef(e)
@@ -142,6 +174,9 @@ func Add(args ...Expr) Expr {
 			order = append(order, k)
 		}
 		b.coef += coef
+		if splits != nil && id.kind != 'c' {
+			splits[id] = split{coef, b}
+		}
 	}
 	for _, a := range args {
 		push(a)
@@ -170,6 +205,10 @@ func Add(args ...Expr) Expr {
 	}
 	return add{terms: terms, str: renderAdd(terms)}
 }
+
+// longSum is the argument count above which Add reuses the split of
+// repeated terms; shorter sums are not worth the extra map.
+const longSum = 8
 
 // Sub returns a - b.
 func Sub(a, b Expr) Expr { return Add(a, Mul(Const(-1), b)) }

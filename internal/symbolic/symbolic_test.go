@@ -33,6 +33,30 @@ func TestSymbolEval(t *testing.T) {
 	}
 }
 
+// TestAddRepeatedTermsMatchesFold pins that Add's per-call reuse of
+// repeated terms leaves coefficient accumulation unchanged: a long sum
+// with repeats whose coefficient sums are inexact in floating point must
+// equal the term-by-term left fold, bit for bit.
+func TestAddRepeatedTermsMatchesFold(t *testing.T) {
+	x, y := S("x"), S("y")
+	terms := []Expr{
+		Mul(C(0.1), x), Mul(C(1.0/3), x, y), Mul(C(0.7), x), Pow(y, C(2)),
+		Mul(C(0.2), Pow(y, C(2))), Max(x, y), C(0.3), Mul(C(-0.1), x),
+	}
+	rng := rand.New(rand.NewSource(1))
+	args := make([]Expr, 0, 4000)
+	for i := 0; i < cap(args); i++ {
+		args = append(args, terms[rng.Intn(len(terms))])
+	}
+	fold := Expr(Zero)
+	for _, a := range args {
+		fold = Add(fold, a)
+	}
+	if got := Add(args...); got.String() != fold.String() {
+		t.Fatalf("Add = %s, left fold = %s", got, fold)
+	}
+}
+
 func TestAddCollectsLikeTerms(t *testing.T) {
 	x := S("x")
 	e := Add(x, x, C(2), C(3))
