@@ -8,7 +8,7 @@
 //	sweep -figure 11 -accel all                                Figure 11 CSV per accelerator
 //	sweep -figure 12 -accel all                                Figure 12 CSV per accelerator
 //	sweep -bench BENCH.json                                    run the reference bench harness
-//	sweep -bench-batch BENCH.json                              batched-vs-scalar bench harness
+//	sweep -bench-batch BENCH.json                              graph-vs-perop batch bench harness
 //
 // The -accel list accepts catalog names and aliases, @file.json custom
 // devices, and "all" for the whole catalog. Grid rows stream in a
@@ -61,7 +61,7 @@ func main() {
 	benchCostModel := flag.String("bench-costmodel", "",
 		"run the graph-vs-perop cost-model bench harness and write its BENCH json to this path (\"-\" = stdout)")
 	benchBatch := flag.String("bench-batch", "",
-		"run the batched-vs-scalar bench harness and write its BENCH json to this path (\"-\" = stdout)")
+		"run the graph-vs-perop batch bench harness and write its BENCH json to this path (\"-\" = stdout)")
 	listAccels := flag.Bool("list-accels", false, "list the accelerator catalog with aliases and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -296,9 +296,8 @@ func runCostModelBench(ctx context.Context, path string) {
 		slog.Float64("perop_over_graph", rep.PerOpOverGraph))
 }
 
-// runBatchBench runs the reference grid batched and as a scalar per-point
-// replay and writes the BENCH json snapshot the CI bench job publishes and
-// gates on.
+// runBatchBench runs the reference grid under both step-time backends and
+// writes the BENCH json snapshot the CI bench job publishes and gates on.
 func runBatchBench(ctx context.Context, path string) {
 	rep, err := sweep.RunBatchBench(ctx)
 	if err != nil {
@@ -320,8 +319,6 @@ func runBatchBench(ctx context.Context, path string) {
 		slog.Int("points", rep.GridPoints),
 		slog.Float64("batched_pts_per_s", rep.BatchedPointsPerSec),
 		slog.Float64("batched_bytes_per_point", rep.BatchedBytesPerPoint),
-		slog.Float64("scalar_pts_per_s", rep.ScalarPointsPerSec),
-		slog.Float64("batched_over_scalar", rep.BatchedOverScalar),
 		slog.Float64("perop_over_graph", rep.PerOpOverGraph),
 		slog.Float64("bytes_reduction", rep.BytesReduction))
 }

@@ -126,6 +126,22 @@ func (a *Analyzer) characterize(ctx context.Context, slots []float64, fp *graph.
 	sp := obs.StartSpan(ctx, "characterize", stageCharacterize)
 	ctx = sp.Attach(ctx)
 	defer sp.End()
+	r := a.requirements(slots, size, batch)
+	fsp := obs.StartSpan(ctx, "footprint", stageFootprint)
+	res, err := a.Compiled.FootprintInto(slots, policy, fp)
+	fsp.End()
+	if err != nil {
+		return r, err
+	}
+	r.FootprintBytes = res.PeakBytes
+	r.PersistentBytes = res.PersistentBytes
+	return r, nil
+}
+
+// requirements binds one (size, batch) point into slots and evaluates its
+// Requirements, all but the footprint fields, which the caller fills from
+// FootprintInto under the same binding.
+func (a *Analyzer) requirements(slots []float64, size, batch float64) Requirements {
 	a.bind(slots, size, batch)
 	r := Requirements{
 		Domain: a.Model.Domain,
@@ -144,36 +160,24 @@ func (a *Analyzer) characterize(ctx context.Context, slots []float64, fp *graph.
 	if r.BytesPerStep > 0 {
 		r.Intensity = r.FLOPsPerStep / r.BytesPerStep
 	}
-	fsp := obs.StartSpan(ctx, "footprint", stageFootprint)
-	res, err := a.Compiled.FootprintInto(slots, policy, fp)
-	fsp.End()
-	if err != nil {
-		return r, err
-	}
-	r.FootprintBytes = res.PeakBytes
-	r.PersistentBytes = res.PersistentBytes
-	return r, nil
+	return r
 }
 
 // Session is a single-goroutine evaluation scratchpad over an Analyzer: one
-// slot buffer, footprint scratch, and the batched-evaluation buffers,
-// reused across any number of points so a tight evaluation loop (grid
-// sweeps, serving workers) allocates nothing per point. Not safe for
-// concurrent use; each worker holds its own.
+// slot buffer, footprint scratch, and the per-row cost buffers of
+// CharacterizeBatch, reused across any number of points so a tight
+// evaluation loop (grid sweeps, serving workers) allocates nothing per
+// point. Not safe for concurrent use; each worker holds its own.
 type Session struct {
 	a     *Analyzer
 	slots []float64
 	fp    graph.FootprintScratch
 
-	// Batched-path state, allocated lazily on first CharacterizeBatch.
-	batch *symbolic.Batch
-	eval  symbolic.BatchScratch
-	vals  struct {
-		params, flops, bytes, io, fwd, bwd []float64
-		tensUniq, nodeUniq                 []float64
-	}
-	costs costmodel.CostsBatch
-	ops   costmodel.OpsBatch
+	// CharacterizeBatch state: per-row graph totals, one row's unique
+	// node-cost values, and the program-major per-op matrix they fill.
+	flops, bytes, rowCosts, opCosts []float64
+	costs                           costmodel.CostsBatch
+	ops                             costmodel.OpsBatch
 }
 
 // NewSession allocates an evaluation scratchpad for one goroutine.
@@ -189,12 +193,12 @@ func (s *Session) Characterize(ctx context.Context, size, batch float64, policy 
 	return s.a.characterize(ctx, s.slots, &s.fp, size, batch, policy)
 }
 
-// CharacterizeBatch evaluates a whole batch of (size, batch) points in one
-// structure-of-arrays pass: every compiled total runs once over all rows,
-// the unique tensor-byte programs feed per-row footprint simulations, and —
-// when withOps is set — the unique node-cost programs fill a shared per-op
-// matrix for batched step-time backends. Row i of the returned slice is
-// bit-for-bit identical to Characterize(sizes[i], batches[i], policy).
+// CharacterizeBatch evaluates a batch of (size, batch) points, one row at a
+// time over the session's buffers, and returns their cost vectors for
+// batched step-time backends: per-row graph totals and — when withOps is
+// set — the per-op matrix of unique node-cost values. Row i of the
+// returned slice is bit-for-bit identical to Characterize(sizes[i],
+// batches[i], policy).
 //
 // reqs is grown as needed and returned. The returned CostsBatch aliases
 // session buffers and is valid until the next call on this session.
@@ -204,9 +208,8 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 	if len(sizes) != len(batches) {
 		return nil, nil, fmt.Errorf("core: %d sizes but %d batches", len(sizes), len(batches))
 	}
-	// One span per batch (≤ ~32 rows), not per row: the whole point of the
-	// batched path is that per-row work is a few array reads, so the timing
-	// granularity matches the unit of work the scheduler dispatches.
+	// One span per batch (≤ ~32 rows), not per row: the timing granularity
+	// matches the unit of work the scheduler dispatches.
 	sp := obs.StartSpan(ctx, "characterize_batch", stageCharacterizeBatch)
 	ctx = sp.Attach(ctx)
 	defer sp.End()
@@ -216,57 +219,37 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 		reqs = make([]Requirements, rows)
 	}
 	reqs = reqs[:rows]
-
-	if s.batch == nil {
-		s.batch = a.Compiled.NewBatch(rows)
-	} else {
-		s.batch.Resize(rows)
+	s.flops = growFloats(s.flops, rows)
+	s.bytes = growFloats(s.bytes, rows)
+	if withOps {
+		s.opCosts = growFloats(s.opCosts, a.Compiled.NumCostPrograms()*rows)
 	}
-	copy(s.batch.Col(a.sizeSlot), sizes)
-	copy(s.batch.Col(a.batchSlot), batches)
-
-	v := &s.vals
-	v.params = a.Compiled.ParamCount.EvalBatchInto(s.batch, v.params, &s.eval)
-	v.flops = a.Compiled.TotalFLOPs.EvalBatchInto(s.batch, v.flops, &s.eval)
-	v.bytes = a.Compiled.TotalBytes.EvalBatchInto(s.batch, v.bytes, &s.eval)
-	v.io = a.Compiled.IO.EvalBatchInto(s.batch, v.io, &s.eval)
-	v.fwd = a.fwdFLOPs.EvalBatchInto(s.batch, v.fwd, &s.eval)
-	v.bwd = a.bwdFLOPs.EvalBatchInto(s.batch, v.bwd, &s.eval)
-	v.tensUniq = a.Compiled.TensorBytesBatch(s.batch, v.tensUniq, &s.eval)
+	for r := range reqs {
+		reqs[r] = a.requirements(s.slots, sizes[r], batches[r])
+		s.flops[r], s.bytes[r] = reqs[r].FLOPsPerStep, reqs[r].BytesPerStep
+		if withOps {
+			s.rowCosts = a.Compiled.CostValues(s.slots, s.rowCosts)
+			for k, v := range s.rowCosts {
+				s.opCosts[k*rows+r] = v
+			}
+		}
+	}
 
 	fsp := obs.StartSpan(ctx, "footprint", stageFootprint)
-	for r := 0; r < rows; r++ {
-		req := Requirements{
-			Domain: a.Model.Domain,
-			Name:   a.Model.Name,
-			Size:   sizes[r],
-			Batch:  batches[r],
-
-			Params:       v.params[r],
-			FLOPsPerStep: v.flops[r],
-			BytesPerStep: v.bytes[r],
-			IOBytes:      v.io[r],
-			FwdFLOPs:     v.fwd[r],
-			BwdFLOPs:     v.bwd[r],
-		}
-		req.FLOPsPerSample = req.FLOPsPerStep / batches[r]
-		if req.BytesPerStep > 0 {
-			req.Intensity = req.FLOPsPerStep / req.BytesPerStep
-		}
-		res, err := a.Compiled.FootprintFromBatch(v.tensUniq, rows, r, policy, &s.fp)
+	for r := range reqs {
+		a.bind(s.slots, sizes[r], batches[r])
+		res, err := a.Compiled.FootprintInto(s.slots, policy, &s.fp)
 		if err != nil {
 			fsp.End()
 			return reqs, nil, err
 		}
-		req.FootprintBytes = res.PeakBytes
-		req.PersistentBytes = res.PersistentBytes
-		reqs[r] = req
+		reqs[r].FootprintBytes = res.PeakBytes
+		reqs[r].PersistentBytes = res.PersistentBytes
 	}
 	fsp.End()
 
-	s.costs = costmodel.CostsBatch{Rows: rows, FLOPs: v.flops, Bytes: v.bytes}
+	s.costs = costmodel.CostsBatch{Rows: rows, FLOPs: s.flops, Bytes: s.bytes}
 	if withOps {
-		v.nodeUniq = a.Compiled.NodeCostsBatch(s.batch, v.nodeUniq, &s.eval)
 		flopIx, byteIx := a.Compiled.CostIndexes()
 		s.ops = costmodel.OpsBatch{
 			Rows:    rows,
@@ -274,11 +257,18 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 			Classes: a.opClasses,
 			FLOPIx:  flopIx,
 			ByteIx:  byteIx,
-			Uniq:    v.nodeUniq,
+			Uniq:    s.opCosts,
 		}
 		s.costs.Ops = &s.ops
 	}
 	return reqs, &s.costs, nil
+}
+
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // SizeForParams is Analyzer.SizeForParams over the session's reused buffers.
@@ -353,7 +343,7 @@ func (a *Analyzer) parallelPoints(n int, fn func(i int, s *Session) error) error
 
 // parallelChunks partitions n indices into contiguous chunks and runs fn
 // once per chunk with a worker-owned session, so each chunk can be one
-// batched evaluation.
+// CharacterizeBatch call.
 func (a *Analyzer) parallelChunks(n int, fn func(lo, hi int, s *Session) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	chunk := 1
@@ -361,7 +351,7 @@ func (a *Analyzer) parallelChunks(n int, fn func(lo, hi int, s *Session) error) 
 		chunk = (n + workers - 1) / workers
 	}
 	// Cap chunk length so a handful of points still spreads across workers
-	// and batched buffers stay cache-sized.
+	// and session buffers stay cache-sized.
 	if chunk > 16 {
 		chunk = 16
 	}
@@ -492,7 +482,7 @@ func (a *Analyzer) FitAsymptotics(paramTargets, batches []float64,
 	var fps, foots []float64
 	for _, size := range sizes[len(sizes)-2:] {
 		a.bind(slots, size, footBatch)
-		res, err := a.Compiled.Footprint(slots, policy, nil)
+		res, err := a.Compiled.Footprint(slots, policy)
 		if err != nil {
 			return asym, err
 		}

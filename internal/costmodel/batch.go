@@ -27,8 +27,8 @@ type OpsBatch struct {
 	// Kinds holds each node's op kind, in graph Nodes() order.
 	Kinds []string
 	// Classes optionally holds each kind's resolved efficiency class.
-	// Producers that price many batches should fill it once (Resolve);
-	// per-op pricing then skips the per-node class lookup, which otherwise
+	// Producers that price many batches should fill it once; per-op
+	// pricing then skips the per-node class lookup, which otherwise
 	// dominates the batched hot loop.
 	Classes []Class
 	// FLOPIx / ByteIx map each node to its row vector in Uniq.
@@ -37,27 +37,6 @@ type OpsBatch struct {
 	// Uniq holds the unique cost-program results, program-major:
 	// Uniq[k*Rows : (k+1)*Rows] is unique program k across all rows.
 	Uniq []float64
-}
-
-// Resolve fills Classes from Kinds. Kinds are static per graph, so callers
-// typically resolve once and reuse the slice across batches.
-func (ob *OpsBatch) Resolve() {
-	if len(ob.Classes) == len(ob.Kinds) {
-		return
-	}
-	ob.Classes = make([]Class, len(ob.Kinds))
-	for i, k := range ob.Kinds {
-		ob.Classes[i] = ClassFor(k)
-	}
-}
-
-// At materializes one node's cost at one row.
-func (ob *OpsBatch) At(node, row int) OpCost {
-	return OpCost{
-		Kind:  ob.Kinds[node],
-		FLOPs: ob.Uniq[int(ob.FLOPIx[node])*ob.Rows+row],
-		Bytes: ob.Uniq[int(ob.ByteIx[node])*ob.Rows+row],
-	}
 }
 
 // CostsBatch is the evaluated cost vectors of a batch of training-step
@@ -71,14 +50,9 @@ type CostsBatch struct {
 	Ops   *OpsBatch
 }
 
-// At materializes one row's graph-level cost vector (without per-op
-// detail; per-op backends consume the batch directly).
-func (c *CostsBatch) At(row int) Costs {
-	return Costs{FLOPs: c.FLOPs[row], Bytes: c.Bytes[row]}
-}
-
-// BatchModel is the optional capability of backends that evaluate a whole
-// batch of points in one pass. Both built-in backends implement it.
+// BatchModel is the capability of backends that price a whole batch of
+// points in one pass. Both built-in backends implement it; sweeps require
+// it.
 type BatchModel interface {
 	Model
 	// StepTimesBatch estimates seconds per training step for every row,
@@ -161,42 +135,6 @@ func (PerOpRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []flo
 			} else {
 				bounds[r] = BoundBandwidth
 			}
-		}
-	}
-	return dst
-}
-
-// AsBatch returns the backend's batched evaluator. Both built-in backends
-// implement BatchModel natively; for a third-party Model without the
-// capability it returns a row-at-a-time adapter, so callers can always
-// take the batched path.
-func AsBatch(m Model) BatchModel {
-	if bm, ok := m.(BatchModel); ok {
-		return bm
-	}
-	return scalarAdapter{m}
-}
-
-// scalarAdapter runs a scalar-only backend row by row. Per-op rows are
-// materialized one node at a time; this is the compatibility slow path.
-type scalarAdapter struct{ Model }
-
-func (a scalarAdapter) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64 {
-	dst = growFloat(dst, c.Rows)
-	var ops []OpCost
-	needOps := NeedsOpCosts(a.Model) && c.Ops != nil
-	for r := 0; r < c.Rows; r++ {
-		cost := c.At(r)
-		if needOps {
-			ops = ops[:0]
-			for n := range c.Ops.Kinds {
-				ops = append(ops, c.Ops.At(n, r))
-			}
-			cost.Ops = ops
-		}
-		dst[r] = a.StepTime(acc, cost)
-		if bounds != nil {
-			bounds[r] = a.Bound(acc, cost)
 		}
 	}
 	return dst

@@ -120,9 +120,24 @@ func (c *Compiled) Bind(slots []float64, env symbolic.Env) error {
 	return c.Syms.Bind(slots, env)
 }
 
-// evalCostUniq evaluates the unique node-cost programs into dst (grown as
-// needed). Per-node values are gathers from this table.
-func (c *Compiled) evalCostUniq(slots []float64, dst []float64) []float64 {
+// NumCostPrograms returns the number of unique node-cost programs.
+func (c *Compiled) NumCostPrograms() int { return len(c.costProgs) }
+
+// NumTensorPrograms returns the number of unique tensor-byte programs.
+func (c *Compiled) NumTensorPrograms() int { return len(c.tensorProgs) }
+
+// CostIndexes returns the per-node indices (in Nodes() order) into the
+// unique node-cost values produced by CostValues: node i's FLOPs are
+// value flopIx[i], its bytes value byteIx[i]. The returned slices are
+// shared and must not be modified.
+func (c *Compiled) CostIndexes() (flopIx, byteIx []int32) {
+	return c.nodeFLOPIx, c.nodeByteIx
+}
+
+// CostValues evaluates the unique node-cost programs for one slot binding
+// into dst (grown as needed and returned). Per-node values are gathers
+// through CostIndexes.
+func (c *Compiled) CostValues(slots []float64, dst []float64) []float64 {
 	if cap(dst) < len(c.costProgs) {
 		dst = make([]float64, len(c.costProgs))
 	}
@@ -138,7 +153,7 @@ func (c *Compiled) evalCostUniq(slots []float64, dst []float64) []float64 {
 // programs are evaluated once and gathered by index, which leaves every
 // summand and the summation order unchanged).
 func (c *Compiled) EvalStats(slots []float64) Stats {
-	uniq := c.evalCostUniq(slots, nil)
+	uniq := c.CostValues(slots, nil)
 	s := Stats{Params: c.ParamCount.Eval(slots)}
 	for i := range c.nodeFLOPIx {
 		s.FLOPs += uniq[c.nodeFLOPIx[i]]
@@ -150,40 +165,49 @@ func (c *Compiled) EvalStats(slots []float64) Stats {
 	return s
 }
 
-// Footprint runs the schedule simulation for one slot binding, evaluating
-// tensor sizes through the compiled programs. scratch, when non-nil, is
-// reused for the per-tensor byte sizes (it is grown as needed); pass nil to
-// allocate internally. Loops calling this per point should prefer
-// FootprintInto, which also reuses the simulation state.
-func (c *Compiled) Footprint(slots []float64, policy SchedulePolicy, scratch []float64) (ScheduleResult, error) {
-	bytes := c.tensorBytesGather(slots, scratch, nil)
-	return c.Graph.simulateFootprint(bytes, policy)
+// FootprintScratch holds every buffer the footprint simulation needs —
+// per-tensor byte sizes, consumer counters, liveness flags, the ready heap,
+// and the traversal order — so repeated footprint evaluation allocates
+// nothing in steady state. One per goroutine; the zero value is ready.
+type FootprintScratch struct {
+	uniq  []float64
+	bytes []float64
+	sim   footprintSim
 }
 
-// tensorBytesGather fills per-tensor byte sizes (in Tensors() order) by
-// evaluating the unique tensor programs once and scattering by index.
-func (c *Compiled) tensorBytesGather(slots, bytes, uniq []float64) []float64 {
-	if cap(uniq) < len(c.tensorProgs) {
-		uniq = make([]float64, len(c.tensorProgs))
+// Footprint runs the schedule simulation for one slot binding, evaluating
+// tensor sizes through the compiled programs, with fresh scratch. Loops
+// calling this per point should use FootprintInto.
+func (c *Compiled) Footprint(slots []float64, policy SchedulePolicy) (ScheduleResult, error) {
+	return c.FootprintInto(slots, policy, &FootprintScratch{})
+}
+
+// FootprintInto is Footprint with fully reused simulation state: the
+// unique tensor-byte programs are evaluated once and gathered per tensor
+// by index. The returned Order aliases the scratch and is valid until the
+// next call.
+func (c *Compiled) FootprintInto(slots []float64, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
+	if cap(fs.uniq) < len(c.tensorProgs) {
+		fs.uniq = make([]float64, len(c.tensorProgs))
 	}
-	uniq = uniq[:len(c.tensorProgs)]
+	fs.uniq = fs.uniq[:len(c.tensorProgs)]
 	for i, p := range c.tensorProgs {
-		uniq[i] = p.Eval(slots)
+		fs.uniq[i] = p.Eval(slots)
 	}
-	if cap(bytes) < len(c.TensorBytes) {
-		bytes = make([]float64, len(c.TensorBytes))
+	if cap(fs.bytes) < len(c.TensorBytes) {
+		fs.bytes = make([]float64, len(c.TensorBytes))
 	}
-	bytes = bytes[:len(c.TensorBytes)]
+	fs.bytes = fs.bytes[:len(c.TensorBytes)]
 	for i, ix := range c.tensorIx {
-		bytes[i] = uniq[ix]
+		fs.bytes[i] = fs.uniq[ix]
 	}
-	return bytes
+	return c.Graph.simulateFootprintInto(fs.bytes, policy, &fs.sim)
 }
 
 // NodeCosts evaluates every node's FLOPs and bytes into the provided slices
 // (grown as needed) and returns them, in Nodes() order.
 func (c *Compiled) NodeCosts(slots []float64, flops, bytes []float64) (f, b []float64) {
-	uniq := c.evalCostUniq(slots, nil)
+	uniq := c.CostValues(slots, nil)
 	n := len(c.NodeFLOPs)
 	if cap(flops) < n {
 		flops = make([]float64, n)

@@ -31,7 +31,7 @@ func TestCompiledMatchesTreeEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotFP, err := c.Footprint(slots, policy, nil)
+		gotFP, err := c.Footprint(slots, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,6 +43,90 @@ func TestCompiledMatchesTreeEval(t *testing.T) {
 		if len(gotFP.Order) != len(wantFP.Order) {
 			t.Fatalf("%v: order lengths differ", policy)
 		}
+	}
+}
+
+// TestCompiledDedup pins the program-deduplication invariants: per-node
+// program slices alias the unique tables, and a chain graph of repeated
+// layers compiles to far fewer unique programs than nodes.
+func TestCompiledDedup(t *testing.T) {
+	g := buildChainGraph(64)
+	c := Compile(g)
+
+	if c.NumCostPrograms() >= 2*len(c.NodeFLOPs) {
+		t.Fatalf("no dedup: %d unique cost programs for %d nodes", c.NumCostPrograms(), len(c.NodeFLOPs))
+	}
+	if c.NumTensorPrograms() >= len(c.TensorBytes) {
+		t.Fatalf("no dedup: %d unique tensor programs for %d tensors", c.NumTensorPrograms(), len(c.TensorBytes))
+	}
+	flopIx, byteIx := c.CostIndexes()
+	for i := range c.NodeFLOPs {
+		if c.NodeFLOPs[i] != c.costProgs[flopIx[i]] || c.NodeBytes[i] != c.costProgs[byteIx[i]] {
+			t.Fatalf("node %d does not alias its unique programs", i)
+		}
+	}
+	for i, ix := range c.tensorIx {
+		if c.TensorBytes[i] != c.tensorProgs[ix] {
+			t.Fatalf("tensor %d does not alias its unique program", i)
+		}
+	}
+}
+
+// TestFootprintIntoReusedScratchMatchesTreeWalk runs FootprintInto with one
+// scratch reused across bindings and both policies, and requires every
+// result — peak, persistent and transient bytes, and the traversal order —
+// to equal the tree-walking Graph.Footprint.
+func TestFootprintIntoReusedScratchMatchesTreeWalk(t *testing.T) {
+	g := buildChainGraph(48)
+	c := Compile(g)
+	slots := c.NewSlots()
+	var fp FootprintScratch
+	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
+		for _, h := range []float64{16, 96.5, 384, 1024} {
+			env := symbolic.Env{"h": h}
+			if err := c.Bind(slots, env); err != nil {
+				t.Fatal(err)
+			}
+			want, err := g.Footprint(env, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.FootprintInto(slots, policy, &fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.PeakBytes != want.PeakBytes || got.PersistentBytes != want.PersistentBytes ||
+				got.PeakTransientBytes != want.PeakTransientBytes || len(got.Order) != len(want.Order) {
+				t.Fatalf("h=%v %v: FootprintInto %+v != Footprint %+v", h, policy, got, want)
+			}
+			for i := range want.Order {
+				if got.Order[i] != want.Order[i] {
+					t.Fatalf("h=%v %v: order diverges at %d", h, policy, i)
+				}
+			}
+		}
+	}
+}
+
+// TestFootprintIntoSteadyStateAllocs pins the point of FootprintScratch:
+// warm footprint evaluation does not allocate.
+func TestFootprintIntoSteadyStateAllocs(t *testing.T) {
+	g := buildChainGraph(32)
+	c := Compile(g)
+	slots := c.NewSlots()
+	hSlot, _ := c.Syms.Slot("h")
+	slots[hSlot] = 256
+	var fp FootprintScratch
+	if _, err := c.FootprintInto(slots, PolicyMemGreedy, &fp); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.FootprintInto(slots, PolicyMemGreedy, &fp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm FootprintInto allocates %v times per run", allocs)
 	}
 }
 
@@ -101,7 +185,7 @@ func TestCompiledConcurrentEval(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			slots := c.NewSlots()
-			var scratch []float64
+			var fp FootprintScratch
 			for i := 0; i < 50; i++ {
 				if err := c.Bind(slots, symbolic.Env{"h": 256}); err != nil {
 					errs <- err
@@ -111,7 +195,7 @@ func TestCompiledConcurrentEval(t *testing.T) {
 					errs <- errMismatch
 					return
 				}
-				if _, err := c.Footprint(slots, PolicyMemGreedy, scratch); err != nil {
+				if _, err := c.FootprintInto(slots, PolicyMemGreedy, &fp); err != nil {
 					errs <- err
 					return
 				}

@@ -49,8 +49,8 @@ type ScheduleResult struct {
 // Footprint simulates a topological traversal under env and returns the
 // memory footprint estimate for one training step. Hot paths that sweep many
 // evaluation points should compile the graph once and use
-// Compiled.Footprint, which replaces the per-tensor tree walk below with
-// precompiled programs.
+// Compiled.FootprintInto, which replaces the per-tensor tree walk below
+// with precompiled programs.
 func (g *Graph) Footprint(env map[string]float64, policy SchedulePolicy) (ScheduleResult, error) {
 	// Pre-evaluate tensor byte sizes.
 	bytes := make([]float64, len(g.tensors))
@@ -61,7 +61,7 @@ func (g *Graph) Footprint(env map[string]float64, policy SchedulePolicy) (Schedu
 		}
 		bytes[t.id] = v
 	}
-	return g.simulateFootprint(bytes, policy)
+	return g.simulateFootprintInto(bytes, policy, &footprintSim{})
 }
 
 // footprintSim holds every buffer one traversal simulation needs. Reusing
@@ -99,16 +99,10 @@ func (fs *footprintSim) reset(nt, nn int) {
 	fs.heap.reset(nn)
 }
 
-// simulateFootprint runs the traversal simulation over pre-evaluated
-// per-tensor byte sizes (indexed by tensor id), allocating fresh state.
-// Hot paths reuse state via simulateFootprintInto.
-func (g *Graph) simulateFootprint(bytes []float64, policy SchedulePolicy) (ScheduleResult, error) {
-	return g.simulateFootprintInto(bytes, policy, &footprintSim{})
-}
-
-// simulateFootprintInto is the shared core of Graph.Footprint,
-// Compiled.Footprint, and the batched footprint paths. The returned Order
-// aliases fs.order and is valid until fs is reused.
+// simulateFootprintInto runs the traversal simulation over pre-evaluated
+// per-tensor byte sizes (indexed by tensor id); it is the shared core of
+// Graph.Footprint and Compiled.FootprintInto. The returned Order aliases
+// fs.order and is valid until fs is reused.
 //
 // The ready set is an indexed min-heap keyed by the policy's priority
 // (net live-set delta for mem-greedy, insertion order for FIFO), with

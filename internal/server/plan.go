@@ -49,7 +49,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.countCostModel(p.CostModel())
 	key := "plan|" + p.Key()
 	s.respondCached(w, r, key, func() (any, error) {
-		res, err := s.eng.Plan(spec)
+		res, err := s.eng.PlanOn(r.Context(), spec)
 		if err != nil {
 			return nil, err
 		}

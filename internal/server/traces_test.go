@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	cat "catamount"
 	"catamount/internal/obs"
 )
 
@@ -257,5 +259,49 @@ func TestTracesConsistentUnderSweepLoad(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanRequestTraceHasPlanRun drives a plan request on an engine whose
+// plan memo is cold, then reads its trace back: the planner's search must
+// run under the request's trace, with plan_run a child of the request span
+// and the search's sweep stages beneath it.
+func TestPlanRequestTraceHasPlanRun(t *testing.T) {
+	obs.Flight.Reset()
+	s := newTestServer(Config{Engine: cat.NewEngine()})
+
+	const rid = "trace-plan-1"
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(planBody(t)))
+	req.Header.Set("X-Request-Id", rid)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plan status = %d: %s", rec.Code, rec.Body.String())
+	}
+
+	trec, _ := get(t, s, "/v1/traces/"+rid)
+	if trec.Code != http.StatusOK {
+		t.Fatalf("trace get status = %d: %s", trec.Code, trec.Body.String())
+	}
+	var ex obs.TraceExport
+	if err := json.Unmarshal(trec.Body.Bytes(), &ex); err != nil {
+		t.Fatal(err)
+	}
+	if ex.Root == nil || ex.Root.Stage != "request" {
+		t.Fatalf("trace root = %+v, want request", ex.Root)
+	}
+	var planRun *obs.SpanNode
+	for _, c := range ex.Root.Children {
+		if c.Stage == "plan_run" {
+			planRun = c
+		}
+	}
+	if planRun == nil {
+		t.Fatalf("request span has no plan_run child: %+v", ex.Root.Children)
+	}
+	counts := map[string]int{}
+	collectStages(planRun, counts)
+	if counts["characterize_batch"] == 0 || counts["plan_evaluate"] == 0 {
+		t.Fatalf("plan_run subtree missing search stages: %v", counts)
 	}
 }

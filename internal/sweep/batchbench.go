@@ -7,22 +7,18 @@ import (
 	"runtime"
 	"sort"
 	"time"
-
-	"catamount/internal/costmodel"
-	"catamount/internal/graph"
 )
 
-// This file is the batched-evaluation benchmark harness behind
-// BENCH_pr6.json: it runs the fixed reference grid through the row-batched
-// SoA pipeline (the production Runner path) and through a per-point scalar
-// replay of the pre-batching pipeline, under both step-time backends, and
-// reports the batched-vs-scalar speedup, the per-op-vs-graph warm ratio,
-// and the heap bytes per point against the PR3 scalar-pipeline baseline.
-// The CI bench job publishes the report and gates on pinned floors
-// (TestBatchBenchFloors); cmd/sweep -bench-batch writes it locally.
+// This file is the row-batched sweep benchmark harness behind
+// BENCH_pr6.json: it runs the fixed reference grid through the production
+// Runner path under both step-time backends, and reports warm throughput,
+// the per-op-vs-graph warm ratio, and the heap bytes per point against the
+// PR3 scalar-pipeline baseline. The CI bench job publishes the report and
+// gates on pinned floors (TestBatchBenchFloors); cmd/sweep -bench-batch
+// writes it locally.
 
 // BatchBenchSchema versions the report format.
-const BatchBenchSchema = "catamount-batchbench/v1"
+const BatchBenchSchema = "catamount-batchbench/v2"
 
 // pr3BytesPerPoint is the committed BENCH_pr3.json bytes_per_point of the
 // scalar pipeline on this same reference grid — the baseline the batched
@@ -30,9 +26,7 @@ const BatchBenchSchema = "catamount-batchbench/v1"
 const pr3BytesPerPoint = 174483.84
 
 // BatchBenchReport is one harness run. Everything is timed warm (models
-// built and compiled before any timed region); the scalar baseline replays
-// the per-point evaluation shape the runner had before row batching, on
-// the same worker pool, so the delta is the batching itself.
+// built and compiled before any timed region).
 type BatchBenchReport struct {
 	Schema    string `json:"schema"`
 	Grid      string `json:"grid"`
@@ -49,113 +43,19 @@ type BatchBenchReport struct {
 	BatchedAllocsPerPoint float64 `json:"batched_allocs_per_point"`
 	BatchedBytesPerPoint  float64 `json:"batched_bytes_per_point"`
 
-	// Scalar per-point replay of the same grid, graph backend.
-	ScalarWarmSeconds   float64 `json:"scalar_warm_seconds"`
-	ScalarPointsPerSec  float64 `json:"scalar_points_per_sec"`
-	ScalarBytesPerPoint float64 `json:"scalar_bytes_per_point"`
-	// BatchedOverScalar is the headline speedup: scalar warm time over
-	// batched warm time on identical grids.
-	BatchedOverScalar float64 `json:"batched_over_scalar_x"`
-
 	// Batched pipeline, per-op roofline backend.
 	PerOpWarmSeconds  float64 `json:"perop_warm_seconds"`
 	PerOpPointsPerSec float64 `json:"perop_points_per_sec"`
 	// PerOpOverGraph is the per-op backend's warm-time ratio against the
 	// graph backend, both through the batched pipeline: the median over
-	// interleaved pairs of runs. Batching collapses the per-node program
-	// evaluations into per-unique-program row sweeps, which is what pulls
-	// this toward 1.
+	// interleaved pairs of runs. Pricing over pre-resolved op classes and
+	// deduplicated cost programs is what keeps this near 1.
 	PerOpOverGraph float64 `json:"perop_over_graph_x"`
 
 	// Heap-traffic trajectory: warm bytes/point against the PR3 scalar
 	// pipeline's committed 174483.84 on this grid.
 	PR3BytesPerPoint float64 `json:"pr3_bytes_per_point"`
 	BytesReduction   float64 `json:"bytes_reduction_x"`
-}
-
-// runScalarBaseline replays the grid with the per-point evaluation shape
-// the runner had before row batching: one scalar characterization and one
-// scalar cost vector per (domain, params, subbatch) cell, priced per
-// accelerator with scalar StepTime and expanded into discarded Points.
-// Same worker pool, same session reuse — only the batching is missing.
-func (r *Runner) runScalarBaseline(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	np, nb := len(r.params), r.cellsPerPair()
-
-	sizes := make([]solvedSize, len(r.domains)*np)
-	r.forEach(ctx, len(sizes), func(i int) {
-		sizes[i] = r.solveSize(r.domains[i/np], r.params[i%np])
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	r.forEach(ctx, len(r.domains)*np*nb, func(i int) {
-		di, pi, bi := i/(np*nb), (i/nb)%np, i%nb
-		sol := sizes[di*np+pi]
-		if sol.err != nil {
-			return
-		}
-		s, err := r.session(r.domains[di])
-		if err != nil {
-			return
-		}
-		defer r.release(r.domains[di], s)
-		batch := s.Analyzer().Model.DefaultBatch
-		if len(r.subbatches) > 0 {
-			batch = r.subbatches[bi]
-		}
-		req, err := s.Characterize(ctx, sol.size, batch, graph.PolicyMemGreedy)
-		if err != nil {
-			return
-		}
-		costs := s.StepCosts(sol.size, batch, r.needsOps)
-		for ai, acc := range r.accs {
-			reqCopy := req
-			p := Point{
-				Seq:          ((di*np+pi)*nb+bi)*len(r.accs) + ai,
-				Domain:       r.domains[di],
-				Accelerator:  acc.Name,
-				ParamTarget:  r.params[pi],
-				Subbatch:     batch,
-				CostModel:    r.label,
-				Requirements: &reqCopy,
-			}
-			p.StepSeconds = r.model.StepTime(acc, costs)
-			p.Utilization = acc.Utilization(req.FLOPsPerStep, p.StepSeconds)
-			p.ComputeBound = r.model.Bound(acc, costs) == costmodel.BoundCompute
-			p.FitsMemory = acc.Fits(req.FootprintBytes)
-			sinkPoint(p)
-		}
-	})
-	return ctx.Err()
-}
-
-// sinkPoint consumes a replayed Point. noinline keeps the compiler from
-// eliding the per-point assembly the real pipeline pays for.
-//
-//go:noinline
-func sinkPoint(Point) {}
-
-// timedScalarGrid is timedGridStats for the scalar baseline replay.
-func timedScalarGrid(ctx context.Context, r *Runner) (best, bytesPerPoint float64, err error) {
-	var ms0, ms1 runtime.MemStats
-	best = -1
-	for rerun := 0; rerun < 5; rerun++ {
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		if err := r.runScalarBaseline(ctx); err != nil {
-			return 0, 0, err
-		}
-		elapsed := time.Since(start).Seconds()
-		runtime.ReadMemStats(&ms1)
-		if best < 0 || elapsed < best {
-			best = elapsed
-			bytesPerPoint = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(r.Points())
-		}
-	}
-	return best, bytesPerPoint, nil
 }
 
 // timedRun runs a runner warm once, returning its wall time with its
@@ -226,9 +126,8 @@ func timedPairs(ctx context.Context, graphRunner, peropRunner *Runner) (
 	return graphBest, allocsPerPoint, bytesPerPoint, peropBest, ratios[len(ratios)/2], nil
 }
 
-// RunBatchBench runs the reference grid batched (graph and per-op
-// backends) and as a scalar per-point replay, over one shared compiled
-// source.
+// RunBatchBench runs the reference grid under the graph and per-op
+// backends over one shared compiled source.
 func RunBatchBench(ctx context.Context) (*BatchBenchReport, error) {
 	src := newBuildSource()
 
@@ -244,14 +143,6 @@ func RunBatchBench(ctx context.Context) (*BatchBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A separate runner keeps the scalar replay's session pool distinct
-	// from the batched graph runner's, so buffer reuse cannot blur the
-	// comparison.
-	scalarRunner, err := New(src, graphSpec)
-	if err != nil {
-		return nil, err
-	}
-
 	rep := &BatchBenchReport{
 		Schema:           BatchBenchSchema,
 		Grid:             "reference",
@@ -276,16 +167,10 @@ func RunBatchBench(ctx context.Context) (*BatchBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.ScalarWarmSeconds, rep.ScalarBytesPerPoint, err = timedScalarGrid(ctx, scalarRunner)
-	if err != nil {
-		return nil, err
-	}
 
 	pts := float64(rep.GridPoints)
 	rep.BatchedPointsPerSec = pts / rep.BatchedWarmSeconds
 	rep.PerOpPointsPerSec = pts / rep.PerOpWarmSeconds
-	rep.ScalarPointsPerSec = pts / rep.ScalarWarmSeconds
-	rep.BatchedOverScalar = rep.ScalarWarmSeconds / rep.BatchedWarmSeconds
 	rep.BytesReduction = pr3BytesPerPoint / rep.BatchedBytesPerPoint
 	return rep, nil
 }

@@ -9,8 +9,8 @@ import (
 // TestBatchBenchFloors is the CI regression gate on the BENCH_pr6.json
 // trajectory: the batched pipeline must hold its heap-traffic reduction
 // over the PR3 scalar pipeline, and the per-op backend must stay near
-// graph-backend throughput now that per-node program evaluation is
-// amortized across rows. Ceilings are conservative against 1-core
+// graph-backend throughput now that per-op pricing runs over pre-resolved
+// op classes and deduplicated cost programs. Ceilings are conservative against 1-core
 // container noise (the committed snapshot shows ~1.05x per-op ratio and
 // ~850x bytes reduction); they catch structural regressions — per-point
 // reallocation creeping back, per-op pricing losing its batched path —
@@ -24,9 +24,9 @@ func TestBatchBenchFloors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("batched %.3fs (%.0f pts/s, %.1f allocs/pt, %.0f B/pt), scalar %.3fs (%.0f pts/s), %.2fx speedup",
+	t.Logf("batched %.3fs (%.0f pts/s, %.1f allocs/pt, %.0f B/pt)",
 		rep.BatchedWarmSeconds, rep.BatchedPointsPerSec, rep.BatchedAllocsPerPoint,
-		rep.BatchedBytesPerPoint, rep.ScalarWarmSeconds, rep.ScalarPointsPerSec, rep.BatchedOverScalar)
+		rep.BatchedBytesPerPoint)
 	t.Logf("perop %.3fs (%.0f pts/s, %.2fx graph), bytes/pt %.0f vs pr3 %.0f (%.0fx reduction)",
 		rep.PerOpWarmSeconds, rep.PerOpPointsPerSec, rep.PerOpOverGraph,
 		rep.BatchedBytesPerPoint, rep.PR3BytesPerPoint, rep.BytesReduction)

@@ -14,7 +14,7 @@ import (
 //
 // Streaming callers should hold a LineEncoder for the whole grid: it
 // reuses one line buffer across points, so encoding adds no per-point
-// garbage on top of the batched evaluation path. The package-level
+// garbage on top of the sweep's evaluation path. The package-level
 // WriteNDJSON / CSVRecord helpers remain for one-shot callers and render
 // the exact same bytes.
 

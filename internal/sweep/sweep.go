@@ -194,8 +194,11 @@ func New(src SessionSource, spec Spec) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	r.model = cm
-	r.batchModel = costmodel.AsBatch(cm)
+	bm, ok := cm.(costmodel.BatchModel)
+	if !ok {
+		return nil, fmt.Errorf("sweep: cost model %s cannot price batches", cm.Name())
+	}
+	r.model, r.batchModel = cm, bm
 	r.needsOps = costmodel.NeedsOpCosts(cm)
 	r.stageStepName = "steptime_" + cm.Name()
 	r.stageStep = obs.Stage(r.stageStepName)
@@ -227,9 +230,10 @@ func (r *Runner) cellsPerPair() int {
 	return len(r.subbatches)
 }
 
-// maxRowsPerTask bounds one task's batch width: all subbatches of a chunk
-// of parameter targets for one domain. Wide enough to amortize program
-// dispatch across rows, small enough to keep several tasks in flight.
+// maxRowsPerTask bounds one task's row count: all subbatches of a chunk of
+// parameter targets for one domain. Wide enough to amortize the per-task
+// scheduling, session hand-off and step-time pricing call, small enough to
+// keep several tasks in flight.
 const maxRowsPerTask = 32
 
 // solvedSize is one (domain, params) size solve, shared by every subbatch
@@ -240,8 +244,8 @@ type solvedSize struct {
 }
 
 // taskResult is one evaluated (domain, param-chunk) row batch: every
-// subbatch of every chunk parameter, characterized in one batched pass and
-// priced on every accelerator with one batched step-time call each.
+// subbatch of every chunk parameter, characterized in one CharacterizeBatch
+// call and priced on every accelerator with one batched step-time call each.
 // Per-row entries are indexed row-major ((param, subbatch) order); steps
 // and bounds hold valid rows only, accelerator-major, via validIdx.
 type taskResult struct {

@@ -33,17 +33,25 @@ const maxPlanEntries = 64
 // search composes the session's compiled models through the sweep worker
 // pool, and results are memoized by canonical search key in a sharded LRU
 // — repeated queries for the same target cost one per-shard lock and a map
-// lookup, and concurrent callers for one key share a single search.
+// lookup, and concurrent callers for one key share a single search. Plan
+// is PlanOn under context.Background().
 func (e *Engine) Plan(spec PlanSpec) (*PlanResult, error) {
+	return e.PlanOn(context.Background(), spec)
+}
+
+// PlanOn is Plan with the caller's context, mirroring AnalyzeOn: ctx
+// carries the caller's request trace into the search's stage spans. The
+// memoized search runs under context.WithoutCancel(ctx), so it is traced
+// but never cancelled — the result outlives any one caller, and one
+// caller's cancellation must not poison the entry.
+func (e *Engine) PlanOn(ctx context.Context, spec PlanSpec) (*PlanResult, error) {
 	p, err := plan.New(e, spec)
 	if err != nil {
 		return nil, err
 	}
 	ent, _ := e.plans.GetOrCreate(p.Key(), func() *planEntry { return &planEntry{} })
 	ent.once.Do(func() {
-		// Detached context: the memoized result outlives any one caller,
-		// so one caller's cancellation must not poison the entry.
-		ent.res, ent.err = p.Run(context.Background())
+		ent.res, ent.err = p.Run(context.WithoutCancel(ctx))
 	})
 	return ent.res, ent.err
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -25,45 +27,59 @@ func catalogNames(t *testing.T) []string {
 }
 
 // TestSweepMatchesAnalyzePointwise pins the amortization to correctness:
-// every sweep point must carry exactly the numbers the one-point Analyze
-// path computes — same size solve, same characterization, same Roofline.
+// under each step-time backend, every sweep point on all five domains must
+// carry exactly the numbers the one-point AnalyzeOn path computes — same
+// size solve, same characterization, and bit-identical step time and
+// utilization.
 func TestSweepMatchesAnalyzePointwise(t *testing.T) {
 	eng := sweepTestEngine
-	spec := cat.SweepSpec{
-		Domains:      []string{"wordlm", "nmt"},
-		Params:       []float64{1e8, 3e8},
-		Subbatches:   []float64{32, 128},
-		Accelerators: []string{"v100", "a100"},
-	}
-	pts, err := eng.SweepAll(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2*2*2*2 {
-		t.Fatalf("grid has %d points, want 16", len(pts))
-	}
-	for i, p := range pts {
-		if p.Seq != i {
-			t.Fatalf("point %d has seq %d", i, p.Seq)
-		}
-		if p.Error != "" {
-			t.Fatalf("point %d failed: %s", i, p.Error)
-		}
-		want, err := eng.Analyze(p.Domain, p.ParamTarget, p.Subbatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Requirements == nil || *p.Requirements != want {
-			t.Fatalf("point %d requirements diverge from Analyze:\n got %+v\nwant %+v",
-				i, p.Requirements, want)
-		}
-		acc, err := cat.AcceleratorByName(p.Accelerator)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step := acc.StepTime(want.FLOPsPerStep, want.BytesPerStep); p.StepSeconds != step {
-			t.Fatalf("point %d step %v != Roofline %v", i, p.StepSeconds, step)
-		}
+	for _, backend := range []string{"graph", "perop"} {
+		t.Run(backend, func(t *testing.T) {
+			cm, err := cat.ParseCostModel(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := cat.SweepSpec{
+				Params:       []float64{1e8, 3e8},
+				Subbatches:   []float64{32, 128},
+				Accelerators: []string{"v100", "a100"},
+				CostModel:    backend,
+			}
+			pts, err := eng.SweepAll(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(cat.Domains()) * 2 * 2 * 2; len(pts) != want {
+				t.Fatalf("grid has %d points, want %d", len(pts), want)
+			}
+			for i, p := range pts {
+				if p.Seq != i {
+					t.Fatalf("point %d has seq %d", i, p.Seq)
+				}
+				if p.Error != "" {
+					t.Fatalf("point %d failed: %s", i, p.Error)
+				}
+				acc, err := cat.AcceleratorByName(p.Accelerator)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, est, err := eng.AnalyzeOn(context.Background(), p.Domain, p.ParamTarget, p.Subbatch, acc, cm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Requirements == nil || *p.Requirements != want {
+					t.Fatalf("point %d requirements diverge from AnalyzeOn:\n got %+v\nwant %+v",
+						i, p.Requirements, want)
+				}
+				if math.Float64bits(p.StepSeconds) != math.Float64bits(est.StepSeconds) ||
+					math.Float64bits(p.Utilization) != math.Float64bits(est.Utilization) ||
+					p.ComputeBound != est.ComputeBound {
+					t.Fatalf("point %d (%s %s) roofline (%v, %v, %v) != AnalyzeOn (%v, %v, %v)",
+						i, p.Domain, p.Accelerator, p.StepSeconds, p.Utilization, p.ComputeBound,
+						est.StepSeconds, est.Utilization, est.ComputeBound)
+				}
+			}
+		})
 	}
 }
 
@@ -164,10 +180,10 @@ func TestSweepAtLeast5xFasterThanAnalyzeLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Best-of-3 keeps one scheduling hiccup in the short sweep measurement
-	// from failing the ratio on a loaded machine.
-	var sweepElapsed time.Duration
-	for i := 0; i < 3; i++ {
+	// The sweep and the per-point loop run as interleaved pairs and the
+	// gate reads the median ratio: a slow spell on a shared host then slows
+	// both halves of a pair instead of landing on one side only.
+	runSweep := func() time.Duration {
 		start := time.Now()
 		pts, err := eng.SweepAll(context.Background(), spec)
 		if err != nil {
@@ -176,35 +192,37 @@ func TestSweepAtLeast5xFasterThanAnalyzeLoop(t *testing.T) {
 		if len(pts) != len(domains)*len(params)*len(subbatches)*len(accs) {
 			t.Fatalf("sweep yielded %d points", len(pts))
 		}
-		if d := time.Since(start); sweepElapsed == 0 || d < sweepElapsed {
-			sweepElapsed = d
-		}
+		return time.Since(start)
 	}
-
 	// The per-point path: one Engine.Analyze per grid point, exactly what a
 	// client regenerating the grid through the one-point API pays.
-	start := time.Now()
-	n := 0
-	for _, d := range domains {
-		for _, p := range params {
-			for _, b := range subbatches {
-				for _, acc := range accs {
-					req, err := eng.Analyze(d, p, b)
-					if err != nil {
-						t.Fatal(err)
+	runLoop := func() time.Duration {
+		start := time.Now()
+		for _, d := range domains {
+			for _, p := range params {
+				for _, b := range subbatches {
+					for _, acc := range accs {
+						req, err := eng.Analyze(d, p, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						_ = acc.StepTime(req.FLOPsPerStep, req.BytesPerStep)
 					}
-					_ = acc.StepTime(req.FLOPsPerStep, req.BytesPerStep)
-					n++
 				}
 			}
 		}
+		return time.Since(start)
 	}
-	loopElapsed := time.Since(start)
-
-	t.Logf("sweep %v vs analyze loop %v over %d points (%.1fx)",
-		sweepElapsed, loopElapsed, n, float64(loopElapsed)/float64(sweepElapsed))
-	if sweepElapsed*5 > loopElapsed {
-		t.Fatalf("Engine.Sweep %v not 5x faster than Engine.Analyze loop %v",
-			sweepElapsed, loopElapsed)
+	const pairs = 5
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		sweepElapsed, loopElapsed := runSweep(), runLoop()
+		ratios[i] = float64(loopElapsed) / float64(sweepElapsed)
+		t.Logf("pair %d: sweep %v vs analyze loop %v (%.1fx)", i, sweepElapsed, loopElapsed, ratios[i])
+	}
+	sort.Float64s(ratios)
+	if median := ratios[pairs/2]; median < 5 {
+		t.Fatalf("Engine.Sweep median %.2fx faster than the Engine.Analyze loop over %d pairs, want >= 5x",
+			median, pairs)
 	}
 }
