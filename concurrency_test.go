@@ -90,8 +90,8 @@ func TestEngineCaseStudyMemoizedPerAccelerator(t *testing.T) {
 }
 
 // TestEngineCacheStatsShape pins the extended memo telemetry: occupancy,
-// capacity, shard fan-out, and eviction counters for both sharded memos,
-// and that concurrent lock-free domain reads observe a consistent count.
+// capacity, the shard fields (always 1: each memo is one LRU), and
+// eviction counters for both memos.
 func TestEngineCacheStatsShape(t *testing.T) {
 	eng := NewEngine()
 	if _, err := eng.Analyzer(Domains()[0]); err != nil {
@@ -110,8 +110,8 @@ func TestEngineCacheStatsShape(t *testing.T) {
 	if st.CaseStudyCapacity <= 0 || st.PlanCapacity <= 0 {
 		t.Fatalf("capacities not reported: %+v", st)
 	}
-	if st.CaseStudyShards < 1 || st.PlanShards < 1 {
-		t.Fatalf("shard fan-out not reported: %+v", st)
+	if st.CaseStudyShards != 1 || st.PlanShards != 1 {
+		t.Fatalf("shard fields = %d, %d, want 1, 1: %+v", st.CaseStudyShards, st.PlanShards, st)
 	}
 	if st.CaseStudyEvictions != 0 || st.PlanEvictions != 0 {
 		t.Fatalf("fresh engine reports evictions: %+v", st)
@@ -159,8 +159,8 @@ func TestEngineAnalyzerLockFreeReads(t *testing.T) {
 // distinct single-candidate searches and checks the LRU bound holds and
 // evictions are counted — the memo can no longer grow without bound under
 // a scan of distinct queries. (The case-study memo shares the identical
-// shard.LRU GetOrCreate wiring; its bound is covered by the shard package
-// capacity tests.)
+// lru.Cache GetOrCreate wiring; its bound is covered by the lru package's
+// TestBounded.)
 func TestPlanMemoBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills the planner memo past capacity")

@@ -9,11 +9,11 @@ import (
 	"catamount/internal/costmodel"
 	"catamount/internal/graph"
 	"catamount/internal/hw"
+	"catamount/internal/lru"
 	"catamount/internal/models"
 	"catamount/internal/obs"
 	"catamount/internal/parallel"
 	"catamount/internal/scaling"
-	"catamount/internal/shard"
 )
 
 // Engine is a reusable analysis session. It memoizes each domain's built
@@ -21,10 +21,10 @@ import (
 // table regenerations, figure sweeps, interactive what-ifs — pay the graph
 // construction and expression compilation cost exactly once per domain.
 //
-// Every memo is built for contention-free concurrent serving: the domain
-// set is tiny and build-once, so lookups read an atomic snapshot map with
-// no lock at all; the case-study and planner memos are sharded LRUs whose
-// operations take one per-shard mutex only.
+// The domain set is tiny and build-once, so lookups read an atomic
+// snapshot map with no lock at all. The case-study and planner memos are
+// single-mutex LRUs: a lookup holds the lock for one map probe, and the
+// memoized work itself runs outside it.
 //
 // An Engine is safe for concurrent use. The zero value is not usable; call
 // NewEngine.
@@ -42,14 +42,13 @@ type Engine struct {
 	// Keys combine the canonical backend name with the device fingerprint
 	// (every projection-relevant field), so alias spellings share one
 	// entry while two configs differing in any device field memoize
-	// separately. The sharded LRU bounds long-tail custom devices without
-	// a memo-wide lock.
-	caseStudies *shard.LRU[*caseStudyEntry]
+	// separately. The LRU bounds long-tail custom devices.
+	caseStudies *lru.Cache[*caseStudyEntry]
 
 	// plans memoizes capacity-planner searches by their canonical key
 	// (plan.Planner.Key): a search is deterministic, and the serving layer
-	// replays popular targets. Same sharded LRU discipline as caseStudies.
-	plans *shard.LRU[*planEntry]
+	// replays popular targets. Same LRU discipline as caseStudies.
+	plans *lru.Cache[*planEntry]
 }
 
 // planEntry runs one planner search at most once, outside the memo lock.
@@ -80,8 +79,8 @@ type engineEntry struct {
 // lazily, on first use of each domain.
 func NewEngine() *Engine {
 	return &Engine{
-		caseStudies: shard.NewLRU[*caseStudyEntry](maxCaseStudyEntries, 0),
-		plans:       shard.NewLRU[*planEntry](maxPlanEntries, 0),
+		caseStudies: lru.New[*caseStudyEntry](maxCaseStudyEntries),
+		plans:       lru.New[*planEntry](maxPlanEntries),
 	}
 }
 
@@ -164,9 +163,11 @@ func buildAnalyzer(ctx context.Context, d Domain) (*core.Analyzer, error) {
 }
 
 // CacheStats is a point-in-time view of the engine's memo layer: how many
-// domain models are built and compiled, occupancy/capacity/shard fan-out
-// of the case-study and planner memos, and their lifetime eviction counts.
-// The serving layer reports it in /healthz.
+// domain models are built and compiled, occupancy and capacity of the
+// case-study and planner memos, and their lifetime eviction counts. The
+// serving layer reports it in /healthz. CaseStudyShards and PlanShards
+// always read 1: each memo is one LRU under one lock, and the fields stay
+// so the /healthz shape does not change.
 type CacheStats struct {
 	Domains            int   `json:"domains"`
 	CaseStudies        int   `json:"case_studies"`
@@ -186,14 +187,14 @@ func (e *Engine) CacheStats() CacheStats {
 		Plans:             e.plans.Len(),
 		CaseStudyCapacity: e.caseStudies.Capacity(),
 		PlanCapacity:      e.plans.Capacity(),
-		CaseStudyShards:   e.caseStudies.ShardCount(),
-		PlanShards:        e.plans.ShardCount(),
+		CaseStudyShards:   1,
+		PlanShards:        1,
 	}
 	if m := e.domains.Load(); m != nil {
 		s.Domains = len(*m)
 	}
-	s.CaseStudyEvictions = e.caseStudies.Stats().Evictions
-	s.PlanEvictions = e.plans.Stats().Evictions
+	s.CaseStudyEvictions = e.caseStudies.Evictions()
+	s.PlanEvictions = e.plans.Evictions()
 	return s
 }
 
@@ -362,8 +363,8 @@ func (e *Engine) WordLMCaseStudyOn(acc Accelerator) (*CaseStudy, error) {
 // WordLMCaseStudyOnWith is WordLMCaseStudyOn under a pluggable step-time
 // backend (nil means the default). Results memoize per (device, canonical
 // backend name), so alias spellings of one backend share an entry. The
-// memo is a sharded LRU: lookups lock only the key's shard, and concurrent
-// callers for one (device, backend) pair share a single computation.
+// memo is an LRU, and concurrent callers for one (device, backend) pair
+// share a single computation.
 func (e *Engine) WordLMCaseStudyOnWith(acc Accelerator, cm costmodel.Model) (*CaseStudy, error) {
 	if cm == nil {
 		cm = costmodel.Default()

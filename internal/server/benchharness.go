@@ -15,17 +15,15 @@ import (
 
 // This file is the concurrent-load bench harness behind BENCH_pr10.json:
 // it drives the fully cached serving hot path at increasing goroutine
-// counts, against both the sharded response cache and a single-mutex
-// baseline (CacheShards: 1), and reports throughput, tail latency, and two
-// scaling ratios. The CI bench job publishes the report as an artifact and
-// gates on pinned floors (see TestServeBenchFloors).
+// counts and reports throughput, tail latency, and the goroutine scaling
+// ratio. The CI bench job publishes the report as an artifact and gates on
+// pinned floors (see TestServeBenchFloors).
 
 // ServeBenchSchema versions the report format.
-const ServeBenchSchema = "catamount-serve-bench/v1"
+const ServeBenchSchema = "catamount-serve-bench/v2"
 
-// ServeBenchPoint is one (configuration, concurrency) measurement: total
-// requests served, wall-clock throughput, and per-request latency
-// percentiles.
+// ServeBenchPoint is one concurrency level's measurement: total requests
+// served, wall-clock throughput, and per-request latency percentiles.
 type ServeBenchPoint struct {
 	Goroutines int     `json:"goroutines"`
 	Requests   int     `json:"requests"`
@@ -34,40 +32,31 @@ type ServeBenchPoint struct {
 	P99Micros  float64 `json:"p99_us"`
 }
 
-// ServeBenchReport is one harness run. Hot points exercise the sharded
-// cache at its default fan-out; Baseline points re-run the same load with
-// CacheShards: 1 — the pre-sharding single-mutex layout — so the lock-
-// scaling ratio isolates what sharding buys at the top concurrency level.
+// ServeBenchReport is one harness run: one Hot point per concurrency
+// level, all against the same warmed server.
 type ServeBenchReport struct {
 	Schema    string `json:"schema"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	CPUs      int    `json:"cpus"`
-	Shards    int    `json:"cache_shards"`
 
-	Hot      []ServeBenchPoint `json:"hot"`
-	Baseline []ServeBenchPoint `json:"baseline"`
+	Hot []ServeBenchPoint `json:"hot"`
 
 	// ScalingX is hot throughput at the highest concurrency level over hot
 	// throughput single-threaded: how the cached read path scales with
 	// goroutines on this machine.
 	ScalingX float64 `json:"scaling_x"`
-	// LockScalingX is hot over baseline throughput at the highest
-	// concurrency level: the contention the sharded layout removes. ~1.0
-	// on a single-core machine (one shard, nothing to contend on).
-	LockScalingX float64 `json:"lock_scaling_x"`
 }
 
-// serveBenchLevels are the concurrency levels each configuration runs.
+// serveBenchLevels are the concurrency levels the harness runs.
 var serveBenchLevels = []int{1, 4, 8}
 
 // serveBenchOps is the per-goroutine request count per measurement.
 const serveBenchOps = 5000
 
-// benchPaths is the hot working set: distinct canonical keys spread across
-// cache shards, so the concurrent load exercises shard fan-out rather than
-// hammering a single entry's lock.
+// benchPaths is the hot working set: distinct canonical keys, so the
+// concurrent load spreads over many entries rather than replaying one.
 func benchPaths() []string {
 	paths := make([]string, 0, 32)
 	for i := 0; i < 32; i++ {
@@ -157,14 +146,14 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// benchConfig measures one server configuration across every concurrency
-// level, running each level twice and keeping the higher-throughput pass
-// (the first pass also absorbs scheduler warmup).
-func benchConfig(eng *cat.Engine, shards int) ([]ServeBenchPoint, error) {
+// benchLevels measures a warmed server across every concurrency level,
+// running each level twice and keeping the higher-throughput pass (the
+// first pass also absorbs scheduler warmup).
+func benchLevels(eng *cat.Engine) ([]ServeBenchPoint, error) {
 	// MaxInFlight is raised above every concurrency level so the admission
-	// limiter never sheds bench load — the measurement is cache contention,
-	// not limiter behavior.
-	s := New(Config{Engine: eng, CacheEntries: 1024, CacheShards: shards, MaxInFlight: 256})
+	// limiter never sheds bench load — the measurement is the cached read
+	// path, not limiter behavior.
+	s := New(Config{Engine: eng, CacheEntries: 1024, MaxInFlight: 256})
 	defer s.Close()
 	reqs, err := benchRequests(s, benchPaths())
 	if err != nil {
@@ -191,10 +180,9 @@ func benchConfig(eng *cat.Engine, shards int) ([]ServeBenchPoint, error) {
 	return points, nil
 }
 
-// RunServeBench measures the serving hot path under concurrent load: the
-// sharded configuration and the single-mutex baseline, each at every
-// concurrency level. eng == nil builds a fresh engine (and pays one model
-// compile during warmup).
+// RunServeBench measures the serving hot path under concurrent load at
+// every concurrency level. eng == nil builds a fresh engine (and pays one
+// model compile during warmup).
 func RunServeBench(eng *cat.Engine) (*ServeBenchReport, error) {
 	if eng == nil {
 		eng = cat.NewEngine()
@@ -206,24 +194,12 @@ func RunServeBench(eng *cat.Engine) (*ServeBenchReport, error) {
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.GOMAXPROCS(0),
 	}
-	probe := New(Config{Engine: eng, CacheEntries: 1024})
-	rep.Shards = probe.cache.ShardCount()
-	probe.Close()
-
 	var err error
-	if rep.Hot, err = benchConfig(eng, 0); err != nil {
+	if rep.Hot, err = benchLevels(eng); err != nil {
 		return nil, err
 	}
-	if rep.Baseline, err = benchConfig(eng, 1); err != nil {
-		return nil, err
-	}
-
-	last := len(serveBenchLevels) - 1
-	if rep.Hot[0].ReqPerSec > 0 {
+	if last := len(rep.Hot) - 1; rep.Hot[0].ReqPerSec > 0 {
 		rep.ScalingX = rep.Hot[last].ReqPerSec / rep.Hot[0].ReqPerSec
-	}
-	if rep.Baseline[last].ReqPerSec > 0 {
-		rep.LockScalingX = rep.Hot[last].ReqPerSec / rep.Baseline[last].ReqPerSec
 	}
 	return rep, nil
 }

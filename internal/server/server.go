@@ -33,9 +33,9 @@ import (
 	"catamount/internal/graphio"
 	"catamount/internal/hw"
 	"catamount/internal/jobs"
+	"catamount/internal/lru"
 	"catamount/internal/obs"
 	"catamount/internal/parallel"
-	"catamount/internal/shard"
 )
 
 // Config parameterizes a Server. The zero value gets sensible defaults.
@@ -44,11 +44,6 @@ type Config struct {
 	Engine *cat.Engine
 	// CacheEntries bounds the LRU response cache (default 1024).
 	CacheEntries int
-	// CacheShards overrides the response cache's shard fan-out (default:
-	// a power of two derived from GOMAXPROCS). 1 forces the single-mutex
-	// layout — the contention baseline the serve bench harness measures
-	// the sharded layout against.
-	CacheShards int
 	// MaxInFlight bounds concurrently admitted requests
 	// (default 4×GOMAXPROCS).
 	MaxInFlight int
@@ -85,7 +80,7 @@ type Metrics struct {
 	CostModelRequests map[string]int64 `json:"costmodel_requests"`
 	CacheEntries      int              `json:"cache_entries"`
 	CacheLimit        int              `json:"cache_limit"`
-	CacheShards       int              `json:"cache_shards"`
+	CacheShards       int              `json:"cache_shards"` // always 1: one LRU, one lock
 	CacheEvictions    int64            `json:"cache_evictions"`
 	MaxInFlight       int              `json:"max_in_flight"`
 }
@@ -94,10 +89,10 @@ type Metrics struct {
 // concurrent use.
 type Server struct {
 	eng *cat.Engine
-	// cache is the sharded response LRU: a hot request locks only the
-	// shard its canonical key hashes to, so the fully cached read path
-	// scales with cores instead of serializing on one cache-wide mutex.
-	cache   *shard.LRU[[]byte]
+	// cache is the response LRU, keyed by canonical request. A hit holds
+	// its one mutex for a map probe and a list splice; capacity and
+	// recency are global.
+	cache   *lru.Cache[[]byte]
 	flights *flightGroup
 	sem     chan struct{}
 	// computeSem bounds concurrently *running* upstream computations.
@@ -160,7 +155,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		eng:            cfg.Engine,
-		cache:          shard.NewLRU[[]byte](cfg.CacheEntries, cfg.CacheShards),
+		cache:          lru.New[[]byte](cfg.CacheEntries),
 		flights:        newFlightGroup(),
 		sem:            make(chan struct{}, cfg.MaxInFlight),
 		computeSem:     make(chan struct{}, cfg.MaxInFlight),
@@ -196,17 +191,14 @@ func New(cfg Config) *Server {
 		"Response cache occupancy.", func() float64 { return float64(s.cache.Len()) })
 	s.reg.GaugeFunc("catamount_cache_limit",
 		"Response cache capacity.", func() float64 { return float64(s.cache.Capacity()) })
+	// The cache is one LRU. These two series stay so scrapers keep every
+	// series they read: a fan-out of 1, and shard "0" holding every entry.
 	s.reg.GaugeFunc("catamount_cache_shards",
-		"Response cache shard fan-out.", func() float64 { return float64(s.cache.ShardCount()) })
-	// One occupancy gauge per shard: a skewed key distribution (one shard
-	// full, others idle) shows up directly instead of hiding in the total.
-	for i := 0; i < s.cache.ShardCount(); i++ {
-		i := i
-		s.reg.GaugeFunc("catamount_cache_shard_entries",
-			"Response cache occupancy, by shard.",
-			func() float64 { return float64(s.cache.ShardLen(i)) },
-			obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-	}
+		"Response cache shard fan-out.", func() float64 { return 1 })
+	s.reg.GaugeFunc("catamount_cache_shard_entries",
+		"Response cache occupancy, by shard.",
+		func() float64 { return float64(s.cache.Len()) },
+		obs.Label{Name: "shard", Value: "0"})
 	s.reg.GaugeFunc("catamount_max_in_flight",
 		"Concurrency limiter capacity.", func() float64 { return float64(cap(s.sem)) })
 
@@ -262,11 +254,6 @@ type counterSet struct {
 
 // readCounters loads every counter once, in a fixed order.
 func (s *Server) readCounters() counterSet {
-	cs := s.cache.Stats()
-	entries := 0
-	for _, n := range cs.ShardEntries {
-		entries += n
-	}
 	return counterSet{
 		requests:       s.requests.Load(),
 		inFlight:       s.inFlight.Load(),
@@ -281,8 +268,8 @@ func (s *Server) readCounters() counterSet {
 		planPlans:      s.planPlans.Load(),
 		cmGraph:        s.cmGraph.Load(),
 		cmPerop:        s.cmPerop.Load(),
-		cacheEntries:   entries,
-		cacheEvictions: cs.Evictions,
+		cacheEntries:   s.cache.Len(),
+		cacheEvictions: s.cache.Evictions(),
 	}
 }
 
@@ -327,7 +314,7 @@ func (s *Server) Metrics() Metrics {
 		},
 		CacheEntries:   c.cacheEntries,
 		CacheLimit:     s.cache.Capacity(),
-		CacheShards:    s.cache.ShardCount(),
+		CacheShards:    1,
 		CacheEvictions: c.cacheEvictions,
 		MaxInFlight:    cap(s.sem),
 	}
@@ -584,7 +571,7 @@ type healthResponse struct {
 	Modified            bool           `json:"vcs_modified,omitempty"`
 	EngineCache         cat.CacheStats `json:"engine_cache"`
 	ResponseCache       int            `json:"response_cache_entries"`
-	ResponseCacheShards int            `json:"response_cache_shards"`
+	ResponseCacheShards int            `json:"response_cache_shards"` // always 1
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -597,7 +584,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Modified:            modified,
 		EngineCache:         s.eng.CacheStats(),
 		ResponseCache:       s.cache.Len(),
-		ResponseCacheShards: s.cache.ShardCount(),
+		ResponseCacheShards: 1,
 	})
 }
 

@@ -484,6 +484,32 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// analyzeBatchPaths returns n distinct analyze requests, batch 1..n.
+func analyzeBatchPaths(n int) []string {
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/v1/analyze?domain=wordlm&params=1.03e9&batch=%d", i+1)
+	}
+	return paths
+}
+
+// TestCacheCapacityIsGlobal: a capacity-16 response cache holds any 16
+// keys. Capacity is one global bound, not a per-partition share that keys
+// hashing unevenly would overflow early.
+func TestCacheCapacityIsGlobal(t *testing.T) {
+	const capacity = 16
+	s := newTestServer(Config{CacheEntries: capacity})
+	for _, p := range analyzeBatchPaths(capacity) {
+		if rec, _ := get(t, s, p); rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d %s", p, rec.Code, rec.Body)
+		}
+	}
+	if m := s.Metrics(); m.CacheEntries != capacity || m.CacheEvictions != 0 {
+		t.Fatalf("cache holds %d entries with %d evictions, want %d and 0",
+			m.CacheEntries, m.CacheEvictions, capacity)
+	}
+}
+
 func TestRequestTimeout(t *testing.T) {
 	s := newTestServer(Config{Timeout: 50 * time.Millisecond})
 	release := make(chan struct{})

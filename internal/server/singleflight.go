@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"catamount/internal/shard"
 )
 
 // errComputePanic marks computations that died in a panic rather than
@@ -20,36 +18,21 @@ type flightCall struct {
 	err  error
 }
 
-// flightShard is one independently locked stripe of the in-flight table.
-// The pad keeps adjacent stripes' mutexes off one cache line.
-type flightShard struct {
-	mu    sync.Mutex
-	calls map[string]*flightCall
-	_     [64]byte
-}
-
 // flightGroup implements single-flight request coalescing: concurrent
 // computations for the same key share one execution. Unlike a synchronous
 // singleflight, the computation runs in its own goroutine, so a waiter
 // abandoning early (request timeout, client gone) never cancels the work
 // for the callers still attached — nor the cache fill.
 //
-// The table is key-striped (FNV-1a of the canonical key → stripe, one
-// mutex per stripe), so registration for distinct keys never serializes on
-// a global lock — the same discipline as the sharded response cache it
-// front-runs.
+// The table is one map under one mutex, held only to register or
+// unregister a key; the computation itself runs outside it.
 type flightGroup struct {
-	shards []flightShard
-	mask   uint32
+	mu    sync.Mutex
+	calls map[string]*flightCall
 }
 
 func newFlightGroup() *flightGroup {
-	n := shard.Count()
-	g := &flightGroup{shards: make([]flightShard, n), mask: uint32(n - 1)}
-	for i := range g.shards {
-		g.shards[i].calls = make(map[string]*flightCall)
-	}
-	return g
+	return &flightGroup{calls: make(map[string]*flightCall)}
 }
 
 // do returns the call for key, spawning fn if this caller is the first.
@@ -60,15 +43,14 @@ func newFlightGroup() *flightGroup {
 // result is never retained beyond its in-flight window: the next request
 // after a transient failure retries rather than replaying the stale error.
 func (g *flightGroup) do(key string, fn func() ([]byte, error)) (c *flightCall, leader bool) {
-	s := &g.shards[shard.Hash(key)&g.mask]
-	s.mu.Lock()
-	if c, ok := s.calls[key]; ok {
-		s.mu.Unlock()
+	g.mu.Lock()
+	if c, ok := g.calls[key]; ok {
+		g.mu.Unlock()
 		return c, false
 	}
 	c = &flightCall{done: make(chan struct{})}
-	s.calls[key] = c
-	s.mu.Unlock()
+	g.calls[key] = c
+	g.mu.Unlock()
 	go func() {
 		// This goroutine is outside net/http's per-connection recover, so
 		// an unrecovered panic here would kill the whole process — and a
@@ -79,9 +61,9 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (c *flightCall, 
 			if r := recover(); r != nil {
 				c.err = fmt.Errorf("%w: %v", errComputePanic, r)
 			}
-			s.mu.Lock()
-			delete(s.calls, key)
-			s.mu.Unlock()
+			g.mu.Lock()
+			delete(g.calls, key)
+			g.mu.Unlock()
 			close(c.done)
 		}()
 		c.val, c.err = fn()

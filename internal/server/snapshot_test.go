@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,60 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := dst.Metrics()
 	if m.CacheHits != 1 || m.CacheMisses != 0 {
 		t.Fatalf("restored cache did not serve the hit: hits %d, misses %d", m.CacheHits, m.CacheMisses)
+	}
+}
+
+// TestSnapshotRestoresEvictionOrder: a snapshot lists entries in exact
+// least-recent-first order, so a same-capacity server restored from a full
+// cache holds every entry and evicts the same key the source would.
+func TestSnapshotRestoresEvictionOrder(t *testing.T) {
+	const capacity = 16
+	paths := analyzeBatchPaths(capacity)
+	src := newTestServer(Config{CacheEntries: capacity})
+	// Fill, then re-request the first half: those become most recent, so
+	// paths[capacity/2] is the least recent entry.
+	for _, p := range append(paths, paths[:capacity/2]...) {
+		if rec, _ := get(t, src, p); rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d %s", p, rec.Code, rec.Body)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := newTestServer(Config{CacheEntries: capacity})
+	if n, err := dst.ReadSnapshot(&buf); err != nil || n != capacity {
+		t.Fatalf("restore = (%d, %v), want (%d, nil)", n, err, capacity)
+	}
+
+	keys := func(s *Server) []string {
+		var ks []string
+		for _, e := range s.cache.Dump() {
+			ks = append(ks, e.Key)
+		}
+		return ks
+	}
+	oldest := keys(src)[0]
+	src.cache.Add("extra", []byte("{}"))
+	dst.cache.Add("extra", []byte("{}"))
+	want, got := keys(src), keys(dst)
+	if !slices.Equal(got, want) {
+		t.Fatalf("restored order diverged after one more Add:\n got %q\nwant %q", got, want)
+	}
+	if slices.Contains(got, oldest) {
+		t.Fatalf("least-recent key %q survived the eviction", oldest)
+	}
+
+	// The evicted entry is paths[capacity/2]: asking for it recomputes,
+	// while a refreshed key is still a hit.
+	misses := dst.Metrics().CacheMisses
+	get(t, dst, paths[0])
+	if m := dst.Metrics(); m.CacheMisses != misses {
+		t.Fatalf("refreshed key %s missed after restore", paths[0])
+	}
+	get(t, dst, paths[capacity/2])
+	if m := dst.Metrics(); m.CacheMisses != misses+1 {
+		t.Fatalf("least-recent key %s still cached after eviction", paths[capacity/2])
 	}
 }
 

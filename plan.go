@@ -31,10 +31,10 @@ const maxPlanEntries = 64
 // Plan answers the inverse query: what cluster configurations reach the
 // target, and which are Pareto-optimal over {time, devices, cost}? The
 // search composes the session's compiled models through the sweep worker
-// pool, and results are memoized by canonical search key in a sharded LRU
-// — repeated queries for the same target cost one per-shard lock and a map
-// lookup, and concurrent callers for one key share a single search. Plan
-// is PlanOn under context.Background().
+// pool, and results are memoized by canonical search key in an LRU —
+// repeated queries for the same target cost one lock and a map lookup, and
+// concurrent callers for one key share a single search. Plan is PlanOn
+// under context.Background().
 func (e *Engine) Plan(spec PlanSpec) (*PlanResult, error) {
 	return e.PlanOn(context.Background(), spec)
 }
