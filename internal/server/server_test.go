@@ -420,25 +420,35 @@ func TestCheckpointSymbolNamedPolicy(t *testing.T) {
 }
 
 func TestHostileCheckpointDoesNotCrashServer(t *testing.T) {
-	// A conv2d with one input passes graph validation but panics during
-	// cost derivation; the detached goroutine must contain it as a 4xx,
-	// not kill the process.
-	evil := `{"version":1,"name":"evil","tensors":[
+	uploads := []struct{ name, body, msg string }{
+		// A conv2d with one input passes graph validation but panics
+		// during cost derivation; the detached goroutine must contain it
+		// as a 4xx, not kill the process.
+		{"conv2d with one input", `{"version":1,"name":"evil","tensors":[
 		{"name":"x","kind":"input","dtype":"f32","shape":["1","1","4","4"]},
 		{"name":"y","kind":"activation","dtype":"f32","shape":["1","1","4","4"]}],
 		"nodes":[{"name":"c","op":"conv2d","attrs":{"strideH":1,"strideW":1},
-		"inputs":["x"],"outputs":["y"]}]}`
+		"inputs":["x"],"outputs":["y"]}]}`, "invalid checkpoint graph"},
+		// Four million open parentheses in one dimension (a 4 MB upload)
+		// overflowed the parser's stack before its nesting bound, and a
+		// stack overflow is fatal, not a recoverable panic.
+		{"deeply nested dimension", `{"version":1,"name":"deep","tensors":[
+		{"name":"x","kind":"input","dtype":"f32","shape":["` +
+			strings.Repeat("(", 4_000_000) + `1"]}],"nodes":[]}`, "nested deeper than"},
+	}
 	s := newTestServer(Config{})
-	rec, body := request(t, s, http.MethodPost, "/v1/checkpoint/analyze", []byte(evil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("hostile checkpoint = %d, want 400 (%s)", rec.Code, rec.Body)
-	}
-	if msg := errMessage(body); !strings.Contains(msg, "invalid checkpoint graph") {
-		t.Fatalf("error envelope %q", msg)
-	}
-	// The server is still alive and serving.
-	if rec, _ := get(t, s, "/healthz"); rec.Code != http.StatusOK {
-		t.Fatalf("healthz after hostile upload = %d", rec.Code)
+	for _, u := range uploads {
+		rec, body := request(t, s, http.MethodPost, "/v1/checkpoint/analyze", []byte(u.body))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: hostile checkpoint = %d, want 400 (%.200s)", u.name, rec.Code, rec.Body)
+		}
+		if msg := errMessage(body); !strings.Contains(msg, u.msg) {
+			t.Fatalf("%s: error envelope %q, want %q", u.name, msg, u.msg)
+		}
+		// The server is still alive and serving.
+		if rec, _ := get(t, s, "/healthz"); rec.Code != http.StatusOK {
+			t.Fatalf("%s: healthz after hostile upload = %d", u.name, rec.Code)
+		}
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // BenchmarkSweepReferenceGridWarm measures steady-state grid throughput:
-// the 150-point reference grid through an already-compiled session. This
-// is the number the BENCH_*.json trajectory tracks as warm_points_per_sec.
+// the 150-point reference grid through an already-compiled session, the
+// number TestReferenceGridFloors gates as warm points/sec.
 func BenchmarkSweepReferenceGridWarm(b *testing.B) {
-	r, err := New(sharedSource, ReferenceSpec())
+	r, err := New(sharedSource, referenceSpec())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -108,7 +108,7 @@ type Runner struct {
 	stageStepName string
 
 	// free recycles evaluation sessions across tasks and Run calls, per
-	// domain, so repeated runs (the server, the bench harness) keep their
+	// domain, so repeated runs (perfbench, the floor tests) keep their
 	// evaluation buffers. A task takes a session for its domain and hands
 	// it back when done, so a warm run allocates none whichever worker
 	// picks up which domain, and each domain keeps at most as many

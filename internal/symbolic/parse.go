@@ -12,6 +12,7 @@ import (
 // numbers (including scientific notation), symbols, + - * / ^, parentheses,
 // and the function calls max(...), min(...), ceil(x), floor(x), log2(x),
 // sqrt(x). Serialized graphs (package graphio) round-trip through this.
+// Input nested deeper than maxParseDepth is rejected with an error.
 func Parse(src string) (Expr, error) {
 	p := &parser{src: src}
 	p.next()
@@ -53,11 +54,20 @@ type token struct {
 	pos  int
 }
 
+// maxParseDepth bounds how deeply Parse nests: parentheses, function
+// arguments, prefix signs and the right operand of each ^ each take one
+// level. Parse recurses once per level, and a Go stack overflow is fatal
+// rather than a recoverable panic, so unbounded nesting in an uploaded
+// graph could end the process. The checkpoints of the five built-in
+// domains nest one level at most.
+const maxParseDepth = 1000
+
 type parser struct {
-	src string
-	off int
-	tok token
-	err error
+	src   string
+	off   int
+	tok   token
+	err   error
+	depth int // parseExpr frames active
 }
 
 func (p *parser) next() {
@@ -141,6 +151,11 @@ func (p *parser) parseExpr(minBP int) (Expr, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
+	if p.depth > maxParseDepth {
+		return nil, fmt.Errorf("symbolic: expression nested deeper than %d at offset %d", maxParseDepth, p.tok.pos)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	lhs, err := p.parsePrefix()
 	if err != nil {
 		return nil, err

@@ -122,6 +122,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseDepthLimit pins the nesting bound: each construct that makes
+// Parse recurse — parentheses, prefix signs, the right operand of ^ —
+// parses at maxParseDepth levels and is rejected with an error one level
+// deeper, instead of growing the stack until the process dies.
+func TestParseDepthLimit(t *testing.T) {
+	nests := map[string]func(n int) string{
+		"parens": func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) },
+		"minus":  func(n int) string { return strings.Repeat("-", n) + "1" },
+		"plus":   func(n int) string { return strings.Repeat("+", n) + "1" },
+		"power":  func(n int) string { return strings.Repeat("2^", n) + "1" },
+		"call":   func(n int) string { return strings.Repeat("max(", n) + "1" + strings.Repeat(")", n) },
+	}
+	for name, nest := range nests {
+		if _, err := Parse(nest(maxParseDepth)); err != nil {
+			t.Errorf("%s at depth %d: %v", name, maxParseDepth, err)
+		}
+		_, err := Parse(nest(maxParseDepth + 1))
+		if err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("%s at depth %d: err = %v, want nesting error", name, maxParseDepth+1, err)
+		}
+	}
+	// Far past the limit: rejected at the first level too deep, not
+	// after recursing through the whole input.
+	if _, err := Parse(strings.Repeat("(", 4_000_000) + "1"); err == nil {
+		t.Fatal("4,000,000 open parentheses parsed")
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
