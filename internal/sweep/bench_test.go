@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSweepReferenceGridWarm measures steady-state grid throughput:
 // the 150-point reference grid through an already-compiled session, the
-// number TestReferenceGridFloors gates as warm points/sec.
+// number TestSweepBenchFloors gates as warm points/sec.
 func BenchmarkSweepReferenceGridWarm(b *testing.B) {
 	r, err := New(sharedSource, referenceSpec())
 	if err != nil {
